@@ -26,12 +26,9 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# -timeout 30m: internal/core carries the ~50 s Γ=1 slab known-cost pin
-# (DESIGN.md §14), which the race detector stretches past go test's
-# default 10 m per-package budget on slow boxes.
 race:
-	$(GO) test -race -timeout 30m ./internal/engine/ ./internal/core/ ./internal/exhaustive/ ./internal/netsim/ ./internal/fault/ ./internal/lp/ ./internal/lp/presolve/ ./internal/milp/
-	$(GO) test -race -short -timeout 30m ./internal/serve/
+	$(GO) test -race ./internal/engine/ ./internal/core/ ./internal/exhaustive/ ./internal/netsim/ ./internal/fault/ ./internal/lp/ ./internal/lp/presolve/ ./internal/milp/...
+	$(GO) test -race -short ./internal/serve/
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
@@ -113,13 +110,15 @@ serve-smoke:
 robust-smoke:
 	$(GO) run ./cmd/hisim -locs 0,1,3,6 -routing star -mac tdma -tx 0 -duration 60 -faults knode=1
 
-# The warm-started MILP kernel gate: the warm-vs-cold equivalence property
-# tests on BOTH kernels (randomized bound/cut mutations in internal/lp,
-# pool enumeration across pruning cuts in internal/milp), the presolve
-# pool-preservation property, the parallel-dive determinism tests under
-# the race detector, plus the paper-chain pivot-budget check in
-# internal/core.
+# The warm-started MILP kernel gate: the warm-vs-oracle equivalence
+# property tests on BOTH kernels (randomized bound/cut mutations in
+# internal/lp, pool enumeration across pruning cuts in internal/milp),
+# the presolve pool-preservation property, the parallel-dive determinism
+# tests under the race detector, the guard that keeps the clone-based
+# oracle test-only, plus the paper-chain pivot-budget check, the
+# Algorithm 1 replay against the oracle and the Γ=1 slab's dense-to-sparse
+# kernel switch in internal/core.
 milp-smoke:
-	$(GO) test -race -count=1 ./internal/lp/ ./internal/lp/presolve/ ./internal/milp/
+	$(GO) test -race -count=1 ./internal/lp/ ./internal/lp/presolve/ ./internal/milp/...
 	$(GO) test -race -count=1 -run 'TestParallelPool' -v ./internal/milp/
-	$(GO) test -count=1 -run 'TestPaperChainWarmMatchesCold|TestWarmPoolDeepChainComplete|TestRunWarmMatchesColdMILP|TestPaperChainKernelModes' -v ./internal/core/
+	$(GO) test -count=1 -run 'TestPaperChainWarmMatchesCold|TestWarmPoolDeepChainComplete|TestRunWarmMatchesColdMILP|TestPaperChainKernelModes|TestGammaOneSecondClassSlab' -v ./internal/core/

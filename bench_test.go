@@ -40,6 +40,7 @@ import (
 	"hiopt/internal/linexpr"
 	"hiopt/internal/lp"
 	"hiopt/internal/milp"
+	"hiopt/internal/milp/oracle"
 	"hiopt/internal/netsim"
 	"hiopt/internal/phys"
 	"hiopt/internal/radio"
@@ -424,7 +425,7 @@ func BenchmarkSimplexSolve(b *testing.B) {
 	_ = pr
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lp.Solve(c); err != nil {
+		if _, err := oracle.SolveLP(c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -838,7 +839,7 @@ func BenchmarkEngineAdaptiveScreen(b *testing.B) {
 
 // milpPoolChain drives the first three Algorithm 1 oracle iterations —
 // SolvePool, prune cut, SolvePool — on the paper problem's MILP, either
-// on a persistent warm State or on the clone-based cold path, and
+// on a persistent warm State or on the clone-based cold oracle, and
 // returns total simplex pivots and branch-and-bound nodes.
 func milpPoolChain(b *testing.B, warm bool) (pivots, nodes int) {
 	work, obj, err := core.CompileMILP(design.PaperProblem(0.9))
@@ -856,7 +857,7 @@ func milpPoolChain(b *testing.B, warm bool) (pivots, nodes int) {
 		if warm {
 			pool, agg, err = st.SolvePool(0, 1e-6)
 		} else {
-			pool, agg, err = milp.SolvePool(work, milp.Options{}, 0, 1e-6)
+			pool, agg, err = oracle.SolvePool(work, milp.Options{}, 0, 1e-6)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -874,8 +875,8 @@ func milpPoolChain(b *testing.B, warm bool) (pivots, nodes int) {
 // BenchmarkMILPSolvePool measures the full pooled-MILP chain of Algorithm
 // 1's first three iterations. The warm sub-benchmark keeps one persistent
 // solver state across iterations (dual-simplex re-solves, bound-diff
-// nodes, live no-good cuts); cold re-clones and re-solves from scratch
-// like the pre-warm-kernel code path. pivots/op is the acceptance metric:
+// nodes, live no-good cuts); cold runs the test-only clone-based oracle
+// (internal/milp/oracle), which re-clones and re-solves from scratch. pivots/op is the acceptance metric:
 // warm must stay ≥2x below cold.
 func BenchmarkMILPSolvePool(b *testing.B) {
 	for _, mode := range []struct {
@@ -957,7 +958,7 @@ func BenchmarkMILPKnapsack(b *testing.B) {
 	_ = ids
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := milp.Solve(c, milp.Options{})
+		s, err := oracle.Solve(c, milp.Options{})
 		if err != nil || s.Status != milp.Optimal {
 			b.Fatal(err, s.Status)
 		}

@@ -45,6 +45,9 @@ type benchFile struct {
 	GOARCH            string                `json:"goarch"`
 	Benchmarks        map[string]benchEntry `json:"benchmarks"`
 	ExperimentSeconds map[string]float64    `json:"experiment_wall_seconds,omitempty"`
+	// Retired names baseline benchmarks deliberately removed from the
+	// harness; -cmp lets exactly these go missing from a new run.
+	Retired []string `json:"retired,omitempty"`
 }
 
 func toEntry(r testing.BenchmarkResult) benchEntry {
@@ -101,7 +104,6 @@ func writeBenchJSON(path string, expSeconds map[string]float64) error {
 			"engine_shard_contention": measure(benchEngineShardContention),
 			"engine_disk_warm":        measure(benchEngineDiskWarm),
 			"milp_pool":               measure(benchMILPPoolWarm),
-			"milp_pool_cold":          measure(benchMILPPoolCold),
 			"milp_sparse_pool":        measure(benchMILPSparsePool),
 			"milp_dense_m40":          measure(benchMILPDenseM40),
 			"milp_presolve":           measure(benchMILPPresolve),
@@ -459,28 +461,18 @@ func benchChannelPathLossAt(b *testing.B) {
 	}
 }
 
-// milpPoolChain mirrors the root-level milpPoolChain helper: the first
-// three Algorithm 1 oracle iterations (SolvePool, prune cut, SolvePool)
-// on the paper problem's MILP, warm (persistent solver state) or cold
-// (clone-based re-solve), returning total pivots and B&B nodes.
-func milpPoolChain(b *testing.B, warm bool) (pivots, nodes int) {
+// milpPoolChain mirrors the root-level milpPoolChain helper's warm mode:
+// the first three Algorithm 1 oracle iterations (SolvePool, prune cut,
+// SolvePool) on the paper problem's MILP on one persistent solver state,
+// returning total pivots and B&B nodes.
+func milpPoolChain(b *testing.B) (pivots, nodes int) {
 	work, obj, err := core.CompileMILP(design.PaperProblem(0.9))
 	if err != nil {
 		b.Fatal(err)
 	}
-	var st *milp.State
-	if warm {
-		st = milp.NewState(work, milp.Options{})
-	}
+	st := milp.NewState(work, milp.Options{})
 	for iter := 0; iter < 3; iter++ {
-		var pool []milp.PoolSolution
-		var agg *milp.Solution
-		var err error
-		if warm {
-			pool, agg, err = st.SolvePool(0, 1e-6)
-		} else {
-			pool, agg, err = milp.SolvePool(work, milp.Options{}, 0, 1e-6)
-		}
+		pool, agg, err := st.SolvePool(0, 1e-6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -495,19 +487,13 @@ func milpPoolChain(b *testing.B, warm bool) (pivots, nodes int) {
 }
 
 // benchMILPPoolWarm mirrors BenchmarkMILPSolvePool/warm: the pooled-MILP
-// chain on the persistent warm kernel. pivots/op vs milp_pool_cold is the
-// recorded speedup of the warm-start work.
-func benchMILPPoolWarm(b *testing.B) { benchMILPPool(b, true) }
-
-// benchMILPPoolCold mirrors BenchmarkMILPSolvePool/cold: the same chain
-// on the clone-based cold path.
-func benchMILPPoolCold(b *testing.B) { benchMILPPool(b, false) }
-
-func benchMILPPool(b *testing.B, warm bool) {
+// chain on the persistent warm kernel. Its clone-based cold counterpart
+// is the test-only BenchmarkMILPSolvePool/cold.
+func benchMILPPoolWarm(b *testing.B) {
 	b.ReportAllocs()
 	var pivots, nodes int
 	for i := 0; i < b.N; i++ {
-		p, n := milpPoolChain(b, warm)
+		p, n := milpPoolChain(b)
 		pivots += p
 		nodes += n
 	}

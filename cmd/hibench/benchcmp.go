@@ -57,10 +57,12 @@ func relDelta(oldV, newV float64) float64 {
 // B/op at the fixed regressionThreshold (allocation counts are
 // near-deterministic; timings on a shared box are not, so the caller
 // may widen the timing gate without loosening the allocation one). It
-// returns the names of the benchmarks that regressed on any metric,
-// annotated with the metric. Benchmarks present in only one file are
-// reported but never counted as regressions (additions and removals are
-// deliberate).
+// returns the names of the benchmarks that failed the gate, annotated
+// with the metric that regressed or with "gone". A benchmark new in NEW
+// is reported but never gated. A baseline benchmark missing from NEW
+// fails the gate unless OLD's retired array lists it, so a benchmark can
+// only leave the gate by an explicit, reviewed retirement; a retired
+// name that still runs is reported so the array can be cleaned up.
 func compareBench(oldBF, newBF *benchFile, nsThreshold float64, w io.Writer) []string {
 	names := make([]string, 0, len(newBF.Benchmarks))
 	for name := range newBF.Benchmarks {
@@ -107,8 +109,27 @@ func compareBench(oldBF, newBF *benchFile, nsThreshold float64, w io.Writer) []s
 		}
 	}
 	sort.Strings(dropped)
+	retired := map[string]bool{}
+	for _, name := range oldBF.Retired {
+		retired[name] = true
+	}
 	for _, name := range dropped {
-		fmt.Fprintf(w, "%-24s %12.0f %12s %8s\n", name, oldBF.Benchmarks[name].NsPerOp, "—", "gone")
+		mark := "retired"
+		if !retired[name] {
+			mark = "GONE (not retired)"
+			regressed = append(regressed, name+"(gone)")
+		}
+		fmt.Fprintf(w, "%-24s %12.0f %12s %s\n", name, oldBF.Benchmarks[name].NsPerOp, "—", mark)
+	}
+	var stillRun []string
+	for _, name := range oldBF.Retired {
+		if _, ok := newBF.Benchmarks[name]; ok {
+			stillRun = append(stillRun, name)
+		}
+	}
+	if len(stillRun) > 0 {
+		fmt.Fprintf(w, "note: %d benchmark(s) listed as retired still run, drop them from the retired array: %v\n",
+			len(stillRun), stillRun)
 	}
 	if len(added) > 0 {
 		fmt.Fprintf(w, "note: %d benchmark(s) not in the old baseline, skipped (no regression gate): %v\n",
@@ -184,7 +205,7 @@ func runBenchCmp(oldPath, newPath string, nsThreshold float64) {
 	}
 	regressed := compareBench(oldBF, newBF, nsThreshold, os.Stdout)
 	if len(regressed) > 0 {
-		fmt.Fprintf(os.Stderr, "hibench -cmp: %d benchmark(s) regressed beyond the thresholds (ns/op %.0f%%, allocs/op and B/op %.0f%%): %v\n",
+		fmt.Fprintf(os.Stderr, "hibench -cmp: %d benchmark(s) regressed beyond the thresholds (ns/op %.0f%%, allocs/op and B/op %.0f%%) or went missing unretired: %v\n",
 			len(regressed), 100*nsThreshold, 100*regressionThreshold, regressed)
 		os.Exit(1)
 	}

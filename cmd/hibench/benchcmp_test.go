@@ -31,7 +31,7 @@ func TestCompareBenchNewBenchmarkSkipped(t *testing.T) {
 	}
 }
 
-func TestCompareBenchGoneBenchmarkSkipped(t *testing.T) {
+func TestCompareBenchGoneBenchmarkFails(t *testing.T) {
 	oldBF := bf(map[string]benchEntry{
 		"Kept":    {NsPerOp: 100},
 		"Removed": {NsPerOp: 100},
@@ -41,11 +41,48 @@ func TestCompareBenchGoneBenchmarkSkipped(t *testing.T) {
 	})
 	var out strings.Builder
 	regressed := compareBench(oldBF, newBF, regressionThreshold, &out)
-	if len(regressed) != 0 {
-		t.Fatalf("a removed benchmark counted as a regression: %v", regressed)
+	if len(regressed) != 1 || regressed[0] != "Removed(gone)" {
+		t.Fatalf("an unretired missing benchmark must fail the gate, got %v", regressed)
 	}
-	if !strings.Contains(out.String(), "gone") {
-		t.Fatalf("missing-in-NEW row not marked gone:\n%s", out.String())
+	if !strings.Contains(out.String(), "GONE") {
+		t.Fatalf("missing-in-NEW row not marked GONE:\n%s", out.String())
+	}
+}
+
+func TestCompareBenchGoneRetiredPasses(t *testing.T) {
+	oldBF := bf(map[string]benchEntry{
+		"Kept":    {NsPerOp: 100},
+		"Removed": {NsPerOp: 100},
+	})
+	oldBF.Retired = []string{"Removed"}
+	newBF := bf(map[string]benchEntry{
+		"Kept": {NsPerOp: 100},
+	})
+	var out strings.Builder
+	regressed := compareBench(oldBF, newBF, regressionThreshold, &out)
+	if len(regressed) != 0 {
+		t.Fatalf("a retired benchmark counted against the gate: %v", regressed)
+	}
+	if !strings.Contains(out.String(), "retired") || strings.Contains(out.String(), "GONE") {
+		t.Fatalf("retired row not marked retired:\n%s", out.String())
+	}
+}
+
+func TestCompareBenchRetiredStillPresentReported(t *testing.T) {
+	oldBF := bf(map[string]benchEntry{
+		"Zombie": {NsPerOp: 100},
+	})
+	oldBF.Retired = []string{"Zombie"}
+	newBF := bf(map[string]benchEntry{
+		"Zombie": {NsPerOp: 100},
+	})
+	var out strings.Builder
+	regressed := compareBench(oldBF, newBF, regressionThreshold, &out)
+	if len(regressed) != 0 {
+		t.Fatalf("a retired benchmark that still runs counted as a regression: %v", regressed)
+	}
+	if !strings.Contains(out.String(), "listed as retired still run") || !strings.Contains(out.String(), "Zombie") {
+		t.Fatalf("no notice naming the retired benchmark that still runs:\n%s", out.String())
 	}
 }
 

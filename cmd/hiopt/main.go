@@ -33,7 +33,6 @@ func main() {
 		twoStage  = flag.Bool("twostage", false, "screen clearly-infeasible candidates with short simulations")
 		adaptive  = flag.Bool("adaptive", false, "confidence-gated early replication stopping in the screening and robust stages (savings shown in the engine stats)")
 		verbose   = flag.Bool("v", false, "print per-iteration progress")
-		denseLP   = flag.Bool("densemilp", false, "use the dense-tableau LP kernel inside the MILP oracle (A/B baseline; pools are identical)")
 		milpWrk   = flag.Int("milpworkers", 0, "fan MILP pool enumeration across this many subtree dive workers (0 = sequential; pools are bit-identical)")
 		lpOut     = flag.String("lp", "", "write the MILP relaxation P̃ in CPLEX LP format to this file and exit")
 		mpsOut    = flag.String("mps", "", "write the MILP relaxation P̃ in free MPS format to this file and exit")
@@ -95,7 +94,7 @@ func main() {
 	}
 
 	opts := core.Options{PoolLimit: *pool, DisableAlphaBound: *noAlpha, TwoStage: *twoStage, AdaptiveReps: *adaptive,
-		DenseMILP: *denseLP, MILPWorkers: *milpWrk, MaxIterations: *maxIter}
+		MILPWorkers: *milpWrk, MaxIterations: *maxIter}
 	if *robust || *gammaFlag > 0 {
 		opts.Robust = core.RobustOptions{
 			Enabled:      true,
@@ -143,8 +142,8 @@ func main() {
 	fmt.Printf("status:       %s\n", out.Status)
 	fmt.Printf("iterations:   %d\n", len(out.Iterations))
 	fmt.Printf("evaluations:  %d configurations (%d simulator runs)\n", out.Evaluations, out.Simulations)
-	fmt.Printf("MILP effort:  %d B&B nodes, %d LP pivots (%d warm re-solves, %d cold rebuilds, %d refactorizations)\n",
-		out.MILPNodes, out.LPIterations, out.MILPWarmSolves, out.MILPColdSolves, out.MILPRefactorizations)
+	fmt.Printf("MILP effort:  %d B&B nodes, %d LP pivots (%d warm re-solves, %d cold rebuilds, %d refactorizations, %d kernel switches)\n",
+		out.MILPNodes, out.LPIterations, out.MILPWarmSolves, out.MILPColdSolves, out.MILPRefactorizations, out.MILPKernelSwitches)
 	fmt.Printf("presolve:     %d vars fixed, %d rows dropped, %d coefs tightened; %d parallel dives\n",
 		out.PresolveFixedVars, out.PresolveDroppedRows, out.PresolveTightenedCoefs, out.MILPParallelDives)
 	fmt.Printf("engine:       %s\n", out.Engine)

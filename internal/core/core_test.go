@@ -26,7 +26,7 @@ func TestBuildMILPFirstPoolIsCheapestClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, agg, err := milp.SolvePool(mm.model.Compile(), milp.Options{}, 0, 1e-6)
+	pool, agg, err := milp.NewState(mm.model.Compile(), milp.Options{}).SolvePool(0, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMILPObjectiveMatchesAnalyticEverywhere(t *testing.T) {
 		}
 		m.Add("", linexpr.TermOf(mm.rtVar, 1), linexpr.EQ, rv)
 
-		s, err := milp.Solve(m.Compile(), milp.Options{})
+		s, err := milp.NewState(m.Compile(), milp.Options{}).Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestBuildMILPHonorsImplications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, agg, err := milp.SolvePool(mm.model.Compile(), milp.Options{}, 0, 1e-6)
+	pool, agg, err := milp.NewState(mm.model.Compile(), milp.Options{}).SolvePool(0, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

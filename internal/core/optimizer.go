@@ -108,13 +108,17 @@ type Outcome struct {
 	Engine engine.Stats
 	// MILPNodes and LPIterations aggregate solver effort. MILPWarmSolves
 	// and MILPColdSolves split the LP solves into warm dual-simplex
-	// re-starts vs cold tableau rebuilds (both zero under ColdMILP).
+	// re-starts vs cold tableau rebuilds.
 	MILPNodes      int
 	LPIterations   int
 	MILPWarmSolves int
 	MILPColdSolves int
+	// MILPKernelSwitches counts the times the MILP state's distress
+	// ladder moved it from the dense to the sparse LP kernel (at most
+	// once per run; see milp.State).
+	MILPKernelSwitches int
 	// MILPRefactorizations counts sparse-basis LU rebuilds inside the
-	// warm kernel (0 under ColdMILP or DenseMILP). PresolveFixedVars,
+	// warm kernel (0 on the dense kernel). PresolveFixedVars,
 	// PresolveDroppedRows and PresolveTightenedCoefs report the one-time
 	// presolve reductions applied when the warm state was built.
 	// MILPParallelDives counts the disjoint subtree dives fanned across
@@ -144,24 +148,13 @@ type Outcome struct {
 // Options tune Algorithm 1.
 type Options struct {
 	// PoolLimit caps the MILP solution pool per iteration (0 =
-	// unlimited, the paper's behaviour).
+	// unlimited, the paper's behaviour). The capped members are the
+	// first PoolLimit the warm enumeration discovers.
 	PoolLimit int
-	// ColdMILP disables the warm-started persistent MILP state and
-	// solves every pool from scratch with the clone-based kernel. The
-	// result is identical; this exists for A/B benchmarking and as an
-	// escape hatch.
-	ColdMILP bool
-	// DenseMILP forces the dense-tableau LP kernel inside the warm MILP
-	// state instead of the size-based automatic choice (dense at the
-	// paper's ~100-row scale, sparse revised simplex above ~400
-	// rows+vars). The pools are identical; this is the correctness
-	// oracle and A/B baseline for the sparse kernel. Ignored under
-	// ColdMILP (the clone-based kernel has its own tableau).
-	DenseMILP bool
 	// MILPWorkers fans branch-and-bound pool enumeration across this many
 	// subtree dive workers (0 = sequential single-tree enumeration). The
 	// enumerated pool is bit-identical for every value >= 1 and equal as
-	// a set to the sequential pool. Ignored under ColdMILP or PoolLimit.
+	// a set to the sequential pool. Ignored under PoolLimit.
 	MILPWorkers int
 	// DisableAlphaBound turns off the line-5 early termination (used by
 	// the ablation study; the algorithm then runs until MILP exhaustion).
@@ -503,13 +496,7 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 	// The MILP oracle keeps one warm solver state across iterations: the
 	// pruning cuts appended by the Update step below are ingested into
 	// its live tableau instead of forcing a from-scratch tree.
-	var milpState *milp.State
-	if !o.Options.ColdMILP {
-		milpState = milp.NewState(work, milp.Options{
-			DenseLP: o.Options.DenseMILP,
-			Workers: o.Options.MILPWorkers,
-		})
-	}
+	milpState := milp.NewState(work, milp.Options{Workers: o.Options.MILPWorkers})
 	pMin := math.Inf(1) // P̄_min: best simulated power of a feasible config
 	progress := o.Options.Progress
 	if progress == nil {
@@ -531,14 +518,7 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 			out.Status = StatusBudgetExceeded
 			break
 		}
-		var pool []milp.PoolSolution
-		var agg *milp.Solution
-		var err error
-		if milpState != nil {
-			pool, agg, err = milpState.SolvePool(o.Options.PoolLimit, 1e-6)
-		} else {
-			pool, agg, err = milp.SolvePool(work, milp.Options{}, o.Options.PoolLimit, 1e-6)
-		}
+		pool, agg, err := milpState.SolvePool(o.Options.PoolLimit, 1e-6)
 		if err != nil {
 			return nil, err
 		}
@@ -546,6 +526,7 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 		out.LPIterations += agg.LPIterations
 		out.MILPWarmSolves += agg.WarmSolves
 		out.MILPColdSolves += agg.ColdSolves
+		out.MILPKernelSwitches += agg.KernelSwitches
 		out.MILPRefactorizations += agg.Refactorizations
 		out.MILPParallelDives += agg.ParallelDives
 		out.PresolveFixedVars = agg.PresolveFixed

@@ -287,10 +287,7 @@ func ParetoSweepCtx(ctx context.Context, pr *design.Problem, so SweepOptions) (*
 		}
 		sw.mm, sw.h = mm, h
 		sw.work = mm.model.Compile()
-		sw.st = milp.NewState(sw.work, milp.Options{
-			DenseLP: o.Options.DenseMILP,
-			Workers: o.Options.MILPWorkers,
-		})
+		sw.st = milp.NewState(sw.work, milp.Options{Workers: o.Options.MILPWorkers})
 	}
 	engStart := o.eng.Stats()
 	for _, b := range bounds {
@@ -451,10 +448,7 @@ func (sw *sweeper) coldBound(ctx context.Context, b float64) (*Candidate, error)
 		return nil, err
 	}
 	work := mm.model.Compile()
-	st := milp.NewState(work, milp.Options{
-		DenseLP: o.Options.DenseMILP,
-		Workers: o.Options.MILPWorkers,
-	})
+	st := milp.NewState(work, milp.Options{Workers: o.Options.MILPWorkers})
 	pMin := math.Inf(1)
 	var best *Candidate
 	for iter := 0; ; iter++ {

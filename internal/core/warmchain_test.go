@@ -9,6 +9,7 @@ import (
 	"hiopt/internal/design"
 	"hiopt/internal/linexpr"
 	"hiopt/internal/milp"
+	"hiopt/internal/milp/oracle"
 )
 
 // intKey fingerprints a pool member by its integer-variable assignment
@@ -39,7 +40,7 @@ func sortedKeys(p *linexpr.Compiled, pool []milp.PoolSolution) []string {
 
 // TestPaperChainWarmMatchesCold drives the first three Algorithm 1 MILP
 // iterations of the paper problem — SolvePool, prune cut, SolvePool — on
-// the persistent warm State and on the clone-based cold path. Objectives
+// the persistent warm State and on the clone-based cold oracle. Objectives
 // are pinned to the captured baseline, pools must match as sets, and the
 // warm path must spend at least 2x fewer simplex pivots (the tentpole
 // speedup this PR exists for).
@@ -63,9 +64,6 @@ func TestPaperChainWarmMatchesCold(t *testing.T) {
 		var st *milp.State
 		if warm {
 			st = milp.NewState(work, milp.Options{})
-			if st.Legacy() {
-				t.Fatal("paper problem fell back to legacy path")
-			}
 		}
 		var c chain
 		for iter := 0; iter < len(wantObj); iter++ {
@@ -75,7 +73,7 @@ func TestPaperChainWarmMatchesCold(t *testing.T) {
 			if warm {
 				pool, agg, err = st.SolvePool(0, 1e-6)
 			} else {
-				pool, agg, err = milp.SolvePool(work, milp.Options{}, 0, 1e-6)
+				pool, agg, err = oracle.SolvePool(work, milp.Options{}, 0, 1e-6)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -130,7 +128,7 @@ func TestPaperChainWarmMatchesCold(t *testing.T) {
 // TestWarmPoolDeepChainComplete drives the persistent warm state through
 // the PDRmin=1.0 prune chain — deep enough that accumulated tableau
 // drift once tripped mid-call stale rebuilds — and pins every pool size
-// against the clone-based baseline. Before warmPool discarded and redid
+// against the clone-based oracle baseline. Before warmPool discarded and redid
 // stale-marked calls, the iteration-7 pool silently lost 21 of its 132
 // slab members to subtrees a drifted basis falsely closed.
 func TestWarmPoolDeepChainComplete(t *testing.T) {
@@ -142,9 +140,6 @@ func TestWarmPoolDeepChainComplete(t *testing.T) {
 	}
 	work := mm.model.Compile()
 	st := milp.NewState(work, milp.Options{})
-	if st.Legacy() {
-		t.Fatal("paper problem fell back to legacy path")
-	}
 	for iter, want := range wantPool {
 		pool, agg, err := st.SolvePool(0, 1e-6)
 		if err != nil {
@@ -165,57 +160,55 @@ func TestWarmPoolDeepChainComplete(t *testing.T) {
 	}
 }
 
-// TestRunWarmMatchesColdMILP runs full Algorithm 1 at reduced fidelity
-// with the warm persistent MILP state and with ColdMILP, and requires
-// bit-identical outcomes: same best point, same power, same iteration
-// trace.
+// TestRunWarmMatchesColdMILP runs full Algorithm 1 at reduced fidelity on
+// the warm persistent MILP state, then replays its MILP chain on the
+// clone-based cold oracle under the same prune cuts: every iteration's
+// P̄* and candidate set must match the oracle's pool, so the warm state
+// cannot steer Algorithm 1 off the trace the oracle would produce.
 func TestRunWarmMatchesColdMILP(t *testing.T) {
-	run := func(cold bool) *Outcome {
-		out, err := NewOptimizer(fastProblem(0.7), Options{ColdMILP: cold}).Run()
+	o := NewOptimizer(fastProblem(0.7), Options{})
+	out, err := o.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Best == nil || len(out.Iterations) == 0 {
+		t.Fatalf("status %v with %d iterations: nothing to replay", out.Status, len(out.Iterations))
+	}
+	if out.MILPWarmSolves == 0 {
+		t.Error("warm run recorded no warm solves")
+	}
+	mm, _, err := buildRobustMILP(o.Problem, o.robustCompile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := mm.model.Compile()
+	for i, it := range out.Iterations {
+		pool, agg, err := oracle.SolvePool(work, milp.Options{}, 0, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	warm, cold := run(false), run(true)
-	if warm.Status != cold.Status {
-		t.Fatalf("status warm=%v cold=%v", warm.Status, cold.Status)
-	}
-	if warm.Best == nil || cold.Best == nil {
-		t.Fatalf("missing best: warm=%v cold=%v", warm.Best, cold.Best)
-	}
-	if warm.Best.Point != cold.Best.Point {
-		t.Errorf("best point warm=%+v cold=%+v", warm.Best.Point, cold.Best.Point)
-	}
-	if warm.Best.PowerMW != cold.Best.PowerMW {
-		t.Errorf("best power warm=%v cold=%v", warm.Best.PowerMW, cold.Best.PowerMW)
-	}
-	if warm.Evaluations != cold.Evaluations || len(warm.Iterations) != len(cold.Iterations) {
-		t.Errorf("trace differs: evals %d/%d, iters %d/%d",
-			warm.Evaluations, cold.Evaluations, len(warm.Iterations), len(cold.Iterations))
-	}
-	for i := range warm.Iterations {
-		// P̄* is a simplex tableau result: the warm pivot sequence rounds
-		// the last ~3 bits differently, which %.4f reporting and the
-		// 1e-4 mW prune margin both swallow. Everything discrete —
-		// pool sizes, feasible counts, chosen points — must match exactly.
-		w, c := warm.Iterations[i].PBarStar, cold.Iterations[i].PBarStar
-		if math.Abs(w-c) > 1e-9*(1+math.Abs(c)) {
-			t.Errorf("iter %d: P̄* warm=%v cold=%v", i, w, c)
+		if agg.Status != milp.Optimal {
+			t.Fatalf("iter %d: oracle status %v", i, agg.Status)
 		}
-		if len(warm.Iterations[i].Candidates) != len(cold.Iterations[i].Candidates) ||
-			warm.Iterations[i].FeasibleCount != cold.Iterations[i].FeasibleCount {
-			t.Errorf("iter %d: candidates %d/%d feasible %d/%d",
-				i, len(warm.Iterations[i].Candidates), len(cold.Iterations[i].Candidates),
-				warm.Iterations[i].FeasibleCount, cold.Iterations[i].FeasibleCount)
+		// P̄* is a simplex result: the warm pivot sequence may round the
+		// last bits differently, which %.4f reporting and the 1e-4 mW
+		// prune margin both swallow. The candidate sets must match exactly.
+		if math.Abs(it.PBarStar-agg.Objective) > 1e-9*(1+math.Abs(agg.Objective)) {
+			t.Errorf("iter %d: P̄* warm=%v oracle=%v", i, it.PBarStar, agg.Objective)
 		}
-	}
-	if warm.MILPWarmSolves == 0 {
-		t.Error("warm run recorded no warm solves")
-	}
-	if cold.MILPWarmSolves != 0 || cold.MILPColdSolves != 0 {
-		t.Errorf("cold run recorded warm-state stats: %d/%d",
-			cold.MILPWarmSolves, cold.MILPColdSolves)
+		want := map[design.Point]int{}
+		for _, ps := range pool {
+			want[mm.decode(ps.X)]++
+		}
+		for _, c := range it.Candidates {
+			want[c.Point]--
+		}
+		for p, n := range want {
+			if n != 0 {
+				t.Fatalf("iter %d: point %+v appears %d more times in the oracle pool than in the warm candidates", i, p, n)
+			}
+		}
+		work.AddExprRow(fmt.Sprintf("prune_%d", i), mm.objective, linexpr.GE, it.PBarStar+o.Options.CutEpsilonMW)
 	}
 }
 

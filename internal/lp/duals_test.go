@@ -1,10 +1,12 @@
-package lp
+package lp_test
 
 import (
 	"math"
 	"testing"
 
 	"hiopt/internal/linexpr"
+	"hiopt/internal/lp"
+	"hiopt/internal/milp/oracle"
 	"hiopt/internal/rng"
 )
 
@@ -18,8 +20,8 @@ func TestShadowPriceKnownLP(t *testing.T) {
 	m.Add("c1", linexpr.Sum(x, y), linexpr.LE, 4)
 	m.Add("c2", linexpr.TermOf(x, 1).PlusTerm(y, 3), linexpr.LE, 6)
 	m.SetObjective(linexpr.TermOf(x, 3).PlusTerm(y, 2), true)
-	s, err := Solve(m.Compile())
-	if err != nil || s.Status != Optimal {
+	s, err := oracle.SolveLP(m.Compile())
+	if err != nil || s.Status != lp.Optimal {
 		t.Fatalf("%v %v", err, s.Status)
 	}
 	if math.Abs(s.ShadowPrices[0]-3) > 1e-7 {
@@ -38,8 +40,8 @@ func TestShadowPriceEqualityRow(t *testing.T) {
 	y := m.NewVar("y", linexpr.Continuous, 0, math.Inf(1))
 	m.Add("eq", linexpr.Sum(x, y), linexpr.EQ, 5)
 	m.SetObjective(linexpr.TermOf(x, 1).PlusTerm(y, 2), false)
-	s, err := Solve(m.Compile())
-	if err != nil || s.Status != Optimal {
+	s, err := oracle.SolveLP(m.Compile())
+	if err != nil || s.Status != lp.Optimal {
 		t.Fatalf("%v %v", err, s.Status)
 	}
 	if math.Abs(s.ShadowPrices[0]-2) > 1e-7 {
@@ -82,13 +84,13 @@ func TestShadowPricesMatchFiniteDifferences(t *testing.T) {
 			m.SetObjective(obj, false)
 			return m.Compile()
 		}
-		base, err := Solve(build(-1, 0))
-		if err != nil || base.Status != Optimal {
+		base, err := oracle.SolveLP(build(-1, 0))
+		if err != nil || base.Status != lp.Optimal {
 			continue
 		}
 		for r := 0; r < rowsN; r++ {
-			pert, err := Solve(build(r, eps))
-			if err != nil || pert.Status != Optimal {
+			pert, err := oracle.SolveLP(build(r, eps))
+			if err != nil || pert.Status != lp.Optimal {
 				continue
 			}
 			got := (pert.Objective - base.Objective) / eps
@@ -113,8 +115,8 @@ func TestShadowPricesLengthMatchesRows(t *testing.T) {
 	x := m.NewVar("x", linexpr.Continuous, 1, 4) // range var → internal bound row
 	m.Add("only", linexpr.TermOf(x, 1), linexpr.LE, 3)
 	m.SetObjective(linexpr.TermOf(x, 1), true)
-	s, err := Solve(m.Compile())
-	if err != nil || s.Status != Optimal {
+	s, err := oracle.SolveLP(m.Compile())
+	if err != nil || s.Status != lp.Optimal {
 		t.Fatalf("%v %v", err, s.Status)
 	}
 	if len(s.ShadowPrices) != 1 {
@@ -137,8 +139,8 @@ func TestShadowPriceFlippedRow(t *testing.T) {
 	x := m.NewVar("x", linexpr.Continuous, 0, math.Inf(1))
 	m.Add("neg", linexpr.TermOf(x, -1), linexpr.LE, -2)
 	m.SetObjective(linexpr.TermOf(x, 1), false)
-	s, err := Solve(m.Compile())
-	if err != nil || s.Status != Optimal {
+	s, err := oracle.SolveLP(m.Compile())
+	if err != nil || s.Status != lp.Optimal {
 		t.Fatalf("%v %v", err, s.Status)
 	}
 	if math.Abs(s.Objective-2) > 1e-9 {

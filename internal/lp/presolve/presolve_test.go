@@ -9,6 +9,7 @@ import (
 	"hiopt/internal/linexpr"
 	"hiopt/internal/lp/presolve"
 	"hiopt/internal/milp"
+	"hiopt/internal/milp/oracle"
 	"hiopt/internal/rng"
 )
 
@@ -137,7 +138,7 @@ func TestReductionsPreserveOptimalPool(t *testing.T) {
 	checked := 0
 	for seed := uint64(1); seed <= 200; seed++ {
 		p := randomBinaryProblem(seed, 7, 6)
-		origPool, origAgg, err := milp.SolvePool(p.Clone(), milp.Options{}, 0, 1e-6)
+		origPool, origAgg, err := oracle.SolvePool(p.Clone(), milp.Options{}, 0, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestReductionsPreserveOptimalPool(t *testing.T) {
 			}
 		}
 		q.Rows = rows
-		redPool, redAgg, err := milp.SolvePool(q, milp.Options{}, 0, 1e-6)
+		redPool, redAgg, err := oracle.SolvePool(q, milp.Options{}, 0, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestSkipRowsAreOpaque(t *testing.T) {
 			p.Rows[0].Skip = true
 			tagged[0] = true
 		}
-		origPool, origAgg, err := milp.SolvePool(p.Clone(), milp.Options{}, 0, 1e-6)
+		origPool, origAgg, err := oracle.SolvePool(p.Clone(), milp.Options{}, 0, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func TestSkipRowsAreOpaque(t *testing.T) {
 			}
 		}
 		p.Rows = rows
-		redPool, redAgg, err := milp.SolvePool(p, milp.Options{}, 0, 1e-6)
+		redPool, redAgg, err := oracle.SolvePool(p, milp.Options{}, 0, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}

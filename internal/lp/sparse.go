@@ -24,9 +24,9 @@
 // of appended arena rows, DropRow compaction, the validate + cold-retry
 // + poison staleness ladder, SolverStats.StaleRebuilds contract) are
 // identical to the dense Solver — property-tested against it and the
-// legacy two-phase solver at 1e-9 — so internal/milp can drive either
-// core through the Kernel interface, keeping the dense path as a
-// correctness oracle behind a flag.
+// two-phase reference solver at 1e-9 — so internal/milp can drive either
+// core through the Kernel interface, and switch a distressed dense state
+// onto this one mid-life.
 package lp
 
 import (
@@ -113,11 +113,16 @@ type SparseSolver struct {
 
 	// WantDuals requests ShadowPrices on returned Solutions.
 	WantDuals bool
+	// ConfirmInfeasible re-derives every Infeasible answer reached from a
+	// warm basis by a cold rebuild, so no Infeasible claim can come from
+	// a drifted basis. It costs one cold solve per such claim; milp.State
+	// turns it on only for the last rung of its distress ladder.
+	ConfirmInfeasible bool
 }
 
 // NewSparseSolver attaches a sparse revised-simplex solver to p. Every
 // structural variable must have finite bounds; ErrUnboundedVar is
-// returned otherwise (callers fall back to the two-phase Solve).
+// returned otherwise.
 func NewSparseSolver(p *linexpr.Compiled) (*SparseSolver, error) {
 	for j := 0; j < p.NumVars; j++ {
 		if math.IsInf(p.Lo[j], 0) || math.IsInf(p.Hi[j], 0) {
@@ -795,8 +800,24 @@ func (s *SparseSolver) prepare(warm bool) bool {
 // Solve re-optimizes after any combination of ingested rows, bound
 // changes, and RHS changes, warm-starting from the inherited basis and
 // factorization. The staleness ladder (validate, cold retry, poison,
-// StaleRebuilds) matches the dense Solver's.
+// StaleRebuilds) matches the dense Solver's; ConfirmInfeasible adds a
+// cold re-derivation of warm Infeasible answers on top.
 func (s *SparseSolver) Solve() (*Solution, error) {
+	warm := s.built
+	sol, err := s.solve()
+	if err != nil || sol.Status != Infeasible || !s.ConfirmInfeasible || !warm {
+		return sol, err
+	}
+	s.built = false
+	cold, err := s.solve()
+	if err != nil {
+		return nil, err
+	}
+	cold.Iterations += sol.Iterations
+	return cold, nil
+}
+
+func (s *SparseSolver) solve() (*Solution, error) {
 	s.sync()
 	warm := s.built
 	if warm {

@@ -2,10 +2,10 @@
 // kernel behind internal/milp's branch-and-bound and Algorithm 1's
 // repeated MILP oracle calls.
 //
-// Where Solve (lp.go) reduces every problem to standard form from scratch
-// — shifting variables, adding explicit upper-bound rows, and running a
-// two-phase primal simplex — a Solver keeps the problem in its natural
-// bounded form
+// Where a textbook two-phase primal simplex (the test-only reference in
+// internal/milp/oracle) reduces every problem to standard form from
+// scratch — shifting variables, adding explicit upper-bound rows — a
+// Solver keeps the problem in its natural bounded form
 //
 //	min c·x   s.t.  A·x + s = b,   lo ≤ (x, s) ≤ hi
 //
@@ -42,8 +42,8 @@ import (
 )
 
 // ErrUnboundedVar reports a structural variable with an infinite bound,
-// which the bounded-variable kernel does not handle (callers fall back to
-// the two-phase Solve).
+// which neither bounded-variable kernel handles; milp.State surfaces it
+// from every solving call.
 var ErrUnboundedVar = errors.New("lp: warm solver requires finite variable bounds")
 
 // SolverStats counts the work a Solver has done since creation.

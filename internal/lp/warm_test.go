@@ -1,15 +1,17 @@
-package lp
+package lp_test
 
 import (
 	"math"
 	"testing"
 
 	"hiopt/internal/linexpr"
+	"hiopt/internal/lp"
+	"hiopt/internal/milp/oracle"
 	"hiopt/internal/rng"
 )
 
 // randomBoxLP generates a random LP with finite variable boxes (the form
-// Solver requires), mixed row senses, and a ~30% chance of maximization.
+// lp.Solver requires), mixed row senses, and a ~30% chance of maximization.
 func randomBoxLP(seed uint64, nv, nc int) *linexpr.Compiled {
 	g := rng.NewSource(seed).Stream("warmtest")
 	m := linexpr.NewModel()
@@ -47,27 +49,27 @@ func randomBoxLP(seed uint64, nv, nc int) *linexpr.Compiled {
 // for the sparse one.
 type kernelCase struct {
 	name string
-	make func(*linexpr.Compiled) (Kernel, error)
+	make func(*linexpr.Compiled) (lp.Kernel, error)
 }
 
 func kernelCases() []kernelCase {
 	return []kernelCase{
-		{"dense", func(p *linexpr.Compiled) (Kernel, error) { return NewSolver(p) }},
-		{"sparse", func(p *linexpr.Compiled) (Kernel, error) { return NewSparseSolver(p) }},
+		{"dense", func(p *linexpr.Compiled) (lp.Kernel, error) { return lp.NewSolver(p) }},
+		{"sparse", func(p *linexpr.Compiled) (lp.Kernel, error) { return lp.NewSparseSolver(p) }},
 	}
 }
 
-func wantDuals(k Kernel) {
+func wantDuals(k lp.Kernel) {
 	switch s := k.(type) {
-	case *Solver:
+	case *lp.Solver:
 		s.WantDuals = true
-	case *SparseSolver:
+	case *lp.SparseSolver:
 		s.WantDuals = true
 	}
 }
 
 // TestSolverColdMatchesLegacy cross-checks each kernel's cold start
-// against the legacy two-phase primal solver on random instances: status,
+// against the two-phase reference solver (internal/milp/oracle) on random instances: status,
 // objective, and shadow prices must all agree.
 func TestSolverColdMatchesLegacy(t *testing.T) {
 	for _, kc := range kernelCases() {
@@ -79,7 +81,7 @@ func coldPropertyTest(t *testing.T, kc kernelCase) {
 	agree, opt := 0, 0
 	for seed := uint64(1); seed <= 400; seed++ {
 		p := randomBoxLP(seed, 8, 10)
-		want, err := Solve(p)
+		want, err := oracle.SolveLP(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,19 +95,19 @@ func coldPropertyTest(t *testing.T, kc kernelCase) {
 			t.Fatal(err)
 		}
 		if got.Status != want.Status {
-			t.Fatalf("seed %d: status %v, legacy %v", seed, got.Status, want.Status)
+			t.Fatalf("seed %d: status %v, oracle %v", seed, got.Status, want.Status)
 		}
 		agree++
-		if want.Status != Optimal {
+		if want.Status != lp.Optimal {
 			continue
 		}
 		opt++
 		if math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
-			t.Fatalf("seed %d: obj %.12g, legacy %.12g", seed, got.Objective, want.Objective)
+			t.Fatalf("seed %d: obj %.12g, oracle %.12g", seed, got.Objective, want.Objective)
 		}
 		for i := range want.ShadowPrices {
 			if math.Abs(got.ShadowPrices[i]-want.ShadowPrices[i]) > 1e-6 {
-				t.Fatalf("seed %d row %d: dual %g, legacy %g", seed, i, got.ShadowPrices[i], want.ShadowPrices[i])
+				t.Fatalf("seed %d row %d: dual %g, oracle %g", seed, i, got.ShadowPrices[i], want.ShadowPrices[i])
 			}
 		}
 	}
@@ -119,15 +121,15 @@ func TestNewSolverRejectsUnboundedVars(t *testing.T) {
 	m := linexpr.NewModel()
 	x := m.NewVar("x", linexpr.Continuous, 0, math.Inf(1))
 	m.SetObjective(linexpr.Expr{}.PlusTerm(x, 1), false)
-	if _, err := NewSolver(m.Compile()); err == nil {
-		t.Fatal("expected ErrUnboundedVar")
+	if _, err := lp.NewSolver(m.Compile()); err == nil {
+		t.Fatal("expected lp.ErrUnboundedVar")
 	}
 }
 
 // TestSolverMutationsMatchLegacy is the warm-restart property test from
 // the issue: random sequences of bound tightenings, bound reverts,
 // appended cut rows, RHS changes, and row drops, where every warm
-// re-solve must match a cold legacy lp.Solve on the equivalently mutated
+// re-solve must match a cold oracle.SolveLP on the equivalently mutated
 // problem within 1e-9 — run against both the dense and the sparse core
 // (DropRow compaction and SetVarBounds re-resting included).
 func TestSolverMutationsMatchLegacy(t *testing.T) {
@@ -212,18 +214,18 @@ func mutationPropertyTest(t *testing.T, kc kernelCase) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Solve(mutatedRef(p, curLo, curHi, dropped))
+			want, err := oracle.SolveLP(mutatedRef(p, curLo, curHi, dropped))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Status != want.Status {
-				t.Fatalf("seed %d step %d: status %v, legacy %v", seed, step, got.Status, want.Status)
+				t.Fatalf("seed %d step %d: status %v, oracle %v", seed, step, got.Status, want.Status)
 			}
-			if want.Status != Optimal {
+			if want.Status != lp.Optimal {
 				continue
 			}
 			if math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
-				t.Fatalf("seed %d step %d: obj %.12g legacy %.12g", seed, step, got.Objective, want.Objective)
+				t.Fatalf("seed %d step %d: obj %.12g oracle %.12g", seed, step, got.Objective, want.Objective)
 			}
 		}
 		st := s.Stats()
@@ -250,7 +252,7 @@ func pickLiveRow(g *rng.Stream, n int, dropped map[int]bool) int {
 	return -1
 }
 
-// mutatedRef builds the reference problem for a legacy solve: the arena
+// mutatedRef builds the reference problem for an oracle solve: the arena
 // with the test's current bounds overlaid and dropped rows removed.
 func mutatedRef(p *linexpr.Compiled, lo, hi []float64, dropped map[int]bool) *linexpr.Compiled {
 	ref := p.Clone()
@@ -266,4 +268,43 @@ func mutatedRef(p *linexpr.Compiled, lo, hi []float64, dropped map[int]bool) *li
 		ref.Rows = rows
 	}
 	return ref
+}
+
+// TestSparseConfirmInfeasibleRederivesCold: with ConfirmInfeasible set, a
+// warm Infeasible answer must be re-derived by a cold rebuild (one more
+// cold solve, same verdict), while cold answers and warm Optimal answers
+// cost nothing extra.
+func TestSparseConfirmInfeasibleRederivesCold(t *testing.T) {
+	m := linexpr.NewModel()
+	x := m.NewVar("x", linexpr.Continuous, 0, 4)
+	y := m.NewVar("y", linexpr.Continuous, 0, 4)
+	m.Add("cover", linexpr.Sum(x, y), linexpr.GE, 3)
+	m.SetObjective(linexpr.Sum(x, y), false)
+	for _, confirm := range []bool{false, true} {
+		s, err := lp.NewSparseSolver(m.Compile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ConfirmInfeasible = confirm
+		if sol, err := s.Solve(); err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("confirm=%v: cold solve %v %v", confirm, sol, err)
+		}
+		s.SetVarBounds(int(x), 0, 1)
+		if sol, err := s.Solve(); err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("confirm=%v: warm solve %v %v", confirm, sol, err)
+		}
+		cold0 := s.Stats().ColdSolves
+		s.SetVarBounds(int(y), 0, 1) // x + y <= 2 < 3: infeasible
+		sol, err := s.Solve()
+		if err != nil || sol.Status != lp.Infeasible {
+			t.Fatalf("confirm=%v: infeasible solve %v %v", confirm, sol, err)
+		}
+		want := 0
+		if confirm {
+			want = 1
+		}
+		if got := s.Stats().ColdSolves - cold0; got != want {
+			t.Errorf("confirm=%v: %d cold solves for the warm Infeasible answer, want %d", confirm, got, want)
+		}
+	}
 }

@@ -1,25 +1,28 @@
 // Package milp implements an exact mixed-integer linear programming solver
-// by branch-and-bound over the internal/lp simplex solver. Together they
-// replace CPLEX in the reproduction of the DAC'17 Human Intranet DSE flow.
+// by branch-and-bound over the internal/lp warm-start kernels. Together
+// they replace CPLEX in the reproduction of the DAC'17 Human Intranet DSE
+// flow.
 //
-// Beyond a single optimal solution, the package offers what Algorithm 1 of
-// the paper requires from its MILP oracle:
+// The solver is a State: one warm kernel attached to one compiled arena
+// for its whole life. Beyond a single optimal solution (State.Solve), it
+// offers what Algorithm 1 of the paper requires from its MILP oracle:
 //
-//   - SolvePool enumerates the *set* of optimal solutions S (multiple
-//     configurations can minimize the approximate power expression Eq. 9),
-//     using binary no-good cuts;
+//   - State.SolvePool enumerates the *set* of optimal solutions S
+//     (multiple configurations can minimize the approximate power
+//     expression Eq. 9), using binary no-good cuts;
 //   - callers add pruning cuts between iterations by appending rows to the
 //     compiled problem (linexpr.Compiled.AddRow), implementing the
 //     Update(P̃, P̄ > P̄*) step.
+//
+// The clone-per-node reference solver that the State is differentially
+// tested against lives in internal/milp/oracle, for tests only.
 package milp
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
 	"hiopt/internal/linexpr"
-	"hiopt/internal/lp"
 )
 
 // Status describes the outcome of a MILP solve.
@@ -63,10 +66,10 @@ type Options struct {
 	// sparse revised-simplex kernel. With neither set the kernel is
 	// chosen by problem size (dense below sparseKernelThreshold
 	// rows+vars, sparse above — the crossover where nonzeros-
-	// proportional pivots beat cache-resident quadratic updates). The
-	// dense path doubles as the correctness oracle: property tests run
-	// both kernels and require 1e-9 agreement. DenseLP wins if both are
-	// set.
+	// proportional pivots beat cache-resident quadratic updates).
+	// Property tests run both kernels and require 1e-9 agreement.
+	// DenseLP wins if both are set; either way a distressed dense state
+	// switches to the sparse kernel (see State).
 	DenseLP  bool
 	SparseLP bool
 	// Workers fans pool enumeration out as parallel subtree dives
@@ -98,46 +101,25 @@ type Solution struct {
 	// LPIterations accumulates simplex pivots over all nodes.
 	LPIterations int
 	// WarmSolves and ColdSolves count warm-started dual-simplex re-solves
-	// vs cold tableau rebuilds. Both stay zero on the clone-based path,
-	// which never warm-starts.
+	// vs cold tableau rebuilds.
 	WarmSolves int
 	ColdSolves int
 	// Refactorizations counts sparse-basis LU factorizations (zero on
-	// the dense kernel and the clone-based path).
+	// the dense kernel).
 	Refactorizations int
+	// KernelSwitches counts the dense-to-sparse kernel switches this
+	// call's distress ladder made (0 or 1; see State).
+	KernelSwitches int
 	// PresolveFixed, PresolveDropped, and PresolveTightened report the
 	// construction-time presolve reductions of the attached State:
 	// implied variable fixings, never-binding rows removed, and
-	// tightened row coefficients. Zero on the stateless paths.
+	// tightened row coefficients.
 	PresolveFixed     int
 	PresolveDropped   int
 	PresolveTightened int
 	// ParallelDives counts subtree dive tasks executed by the parallel
 	// pool enumeration (zero when Workers == 0).
 	ParallelDives int
-}
-
-// node is one open branch-and-bound subproblem.
-type node struct {
-	prob  *linexpr.Compiled
-	bound float64 // LP relaxation value (internal minimization sense)
-	x     []float64
-	depth int
-}
-
-type nodeQueue []*node
-
-func (q nodeQueue) Len() int            { return len(q) }
-func (q nodeQueue) Less(i, j int) bool  { return q[i].bound < q[j].bound }
-func (q nodeQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x interface{}) { *q = append(*q, x.(*node)) }
-func (q *nodeQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
 }
 
 // internalMin converts a caller-direction objective value to the internal
@@ -156,92 +138,6 @@ func callerDir(p *linexpr.Compiled, v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// Solve finds an optimal integral solution of p by best-first
-// branch-and-bound. p is not modified.
-func Solve(p *linexpr.Compiled, opt Options) (*Solution, error) {
-	opt = opt.withDefaults()
-	sol := &Solution{Status: Infeasible}
-
-	root, err := lp.Solve(p)
-	if err != nil {
-		return nil, err
-	}
-	sol.LPIterations += root.Iterations
-	switch root.Status {
-	case lp.Infeasible:
-		return sol, nil
-	case lp.Unbounded:
-		sol.Status = Unbounded
-		return sol, nil
-	case lp.IterationLimit:
-		return nil, fmt.Errorf("milp: root LP hit iteration limit")
-	}
-
-	q := &nodeQueue{{prob: p, bound: internalMin(p, root.Objective), x: root.X}}
-	heap.Init(q)
-
-	best := math.Inf(1) // incumbent internal-min value
-	var bestX []float64
-
-	for q.Len() > 0 {
-		if sol.Nodes >= opt.MaxNodes {
-			sol.Status = NodeLimit
-			break
-		}
-		nd := heap.Pop(q).(*node)
-		sol.Nodes++
-		if nd.bound >= best-1e-9 {
-			// Best-first: all remaining nodes are at least as bad.
-			break
-		}
-		frac := mostFractional(p, nd.x, opt.IntTol)
-		if frac < 0 {
-			// Integral: candidate incumbent.
-			if nd.bound < best-1e-9 {
-				best = nd.bound
-				bestX = roundIntegral(p, nd.x, opt.IntTol)
-			}
-			continue
-		}
-		v := nd.x[frac]
-		floorChild := nd.prob.Clone()
-		floorChild.Hi[frac] = math.Floor(v)
-		ceilChild := nd.prob.Clone()
-		ceilChild.Lo[frac] = math.Ceil(v)
-		for _, child := range []*linexpr.Compiled{floorChild, ceilChild} {
-			cs, err := lp.Solve(child)
-			if err != nil {
-				return nil, err
-			}
-			sol.LPIterations += cs.Iterations
-			switch cs.Status {
-			case lp.Optimal:
-				b := internalMin(p, cs.Objective)
-				if b < best-1e-9 {
-					heap.Push(q, &node{prob: child, bound: b, x: cs.X, depth: nd.depth + 1})
-				}
-			case lp.Infeasible:
-				// prune
-			case lp.Unbounded:
-				// A bounded-below parent cannot yield an unbounded child;
-				// treat defensively as an error.
-				return nil, fmt.Errorf("milp: child LP unbounded under bounded parent")
-			case lp.IterationLimit:
-				return nil, fmt.Errorf("milp: child LP hit iteration limit")
-			}
-		}
-	}
-
-	if bestX != nil {
-		if sol.Status != NodeLimit {
-			sol.Status = Optimal
-		}
-		sol.X = bestX
-		sol.Objective = callerDir(p, best)
-	}
-	return sol, nil
 }
 
 // mostFractional returns the index of the integral variable whose LP value
@@ -277,83 +173,6 @@ func roundIntegral(p *linexpr.Compiled, x []float64, tol float64) []float64 {
 type PoolSolution struct {
 	X         []float64
 	Objective float64
-}
-
-// SolvePool enumerates optimal solutions of p: all integral solutions whose
-// objective is within objTol of the optimum, up to limit entries (limit <=
-// 0 means unlimited). It requires every integral variable to be binary,
-// because enumeration uses binary no-good cuts. The pool is discovered in
-// nondecreasing objective order; Solution carries aggregate statistics and
-// the status of the *first* solve.
-func SolvePool(p *linexpr.Compiled, opt Options, limit int, objTol float64) ([]PoolSolution, *Solution, error) {
-	opt = opt.withDefaults()
-	if objTol <= 0 {
-		objTol = 1e-6
-	}
-	for j := 0; j < p.NumVars; j++ {
-		if p.Integer[j] && (p.Lo[j] < -opt.IntTol || p.Hi[j] > 1+opt.IntTol) {
-			return nil, nil, fmt.Errorf("milp: SolvePool requires binary integral variables; %q has bounds [%g,%g]",
-				p.Names[j], p.Lo[j], p.Hi[j])
-		}
-	}
-
-	work := p.Clone()
-	agg := &Solution{Status: Infeasible}
-	var pool []PoolSolution
-	bestInternal := math.Inf(1)
-	for iter := 0; ; iter++ {
-		s, err := Solve(work, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		agg.Nodes += s.Nodes
-		agg.LPIterations += s.LPIterations
-		if iter == 0 {
-			agg.Status = s.Status
-			if s.Status == Optimal {
-				agg.X = s.X
-				agg.Objective = s.Objective
-				bestInternal = internalMin(p, s.Objective)
-				// Bound the objective at the optimum: subsequent pool
-				// solves become feasibility searches, letting
-				// branch-and-bound prune any node whose relaxation
-				// exceeds the known optimal value immediately.
-				coefs := append([]float64(nil), work.Obj...)
-				work.AddRow("pool_obj_bound", coefs, linexpr.LE, bestInternal-work.ObjConst+objTol)
-			}
-		}
-		if s.Status != Optimal {
-			break
-		}
-		if internalMin(p, s.Objective) > bestInternal+objTol {
-			break // objective degraded: pool complete
-		}
-		pool = append(pool, PoolSolution{X: s.X, Objective: s.Objective})
-		if limit > 0 && len(pool) >= limit {
-			break
-		}
-		addNoGoodCut(work, s.X, fmt.Sprintf("nogood_%d", iter), opt.IntTol)
-	}
-	return pool, agg, nil
-}
-
-// addNoGoodCut appends a cut excluding the binary assignment x̂ from the
-// feasible set: Σ_{x̂_j=0} x_j + Σ_{x̂_j=1} (1-x_j) >= 1.
-func addNoGoodCut(p *linexpr.Compiled, xhat []float64, name string, tol float64) {
-	coefs := make([]float64, p.NumVars)
-	ones := 0
-	for j := 0; j < p.NumVars; j++ {
-		if !p.Integer[j] {
-			continue
-		}
-		if xhat[j] > 0.5 {
-			coefs[j] = -1
-			ones++
-		} else {
-			coefs[j] = 1
-		}
-	}
-	p.AddRow(name, coefs, linexpr.GE, float64(1-ones))
 }
 
 // CheckFeasible verifies that x satisfies every row, bound, and

@@ -9,6 +9,16 @@ import (
 	"hiopt/internal/rng"
 )
 
+// solve runs Solve on a fresh State over p.
+func solve(p *linexpr.Compiled) (*Solution, error) {
+	return NewState(p, Options{}).Solve()
+}
+
+// solvePool runs SolvePool on a fresh State over p.
+func solvePool(p *linexpr.Compiled, limit int) ([]PoolSolution, *Solution, error) {
+	return NewState(p, Options{}).SolvePool(limit, 1e-6)
+}
+
 func TestKnapsack(t *testing.T) {
 	// max 10a + 13b + 7c + 5d s.t. 3a + 4b + 2c + d <= 6, binary.
 	// Optimum: a + c + d (weight 6, value 22)?  b + c (weight 6, value 20),
@@ -22,7 +32,7 @@ func TestKnapsack(t *testing.T) {
 	m.Add("w", linexpr.TermOf(a, 3).PlusTerm(b, 4).PlusTerm(c, 2).PlusTerm(d, 1), linexpr.LE, 6)
 	m.SetObjective(linexpr.TermOf(a, 10).PlusTerm(b, 13).PlusTerm(c, 7).PlusTerm(d, 5), true)
 
-	s, err := Solve(m.Compile(), Options{})
+	s, err := solve(m.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +53,7 @@ func TestIntegerRounding(t *testing.T) {
 	m.Add("c", linexpr.TermOf(x, 2).PlusTerm(y, 2), linexpr.LE, 5)
 	m.SetObjective(linexpr.Sum(x, y), true)
 
-	s, err := Solve(m.Compile(), Options{})
+	s, err := solve(m.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	m.Add("c", linexpr.TermOf(x, 1).PlusTerm(b, 3), linexpr.GE, 3)
 	m.SetObjective(linexpr.TermOf(b, 4).PlusTerm(x, 1), false)
 
-	s, err := Solve(m.Compile(), Options{})
+	s, err := solve(m.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +87,7 @@ func TestInfeasibleMILP(t *testing.T) {
 	m.Add("sum2", linexpr.Sum(x, y), linexpr.GE, 2)
 	m.Add("excl", linexpr.Sum(x, y), linexpr.LE, 1)
 	m.SetObjective(linexpr.Sum(x, y), false)
-	s, err := Solve(m.Compile(), Options{})
+	s, err := solve(m.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +104,7 @@ func TestLPFeasibleButIntegerInfeasible(t *testing.T) {
 	x := m.NewVar("x", linexpr.Integer, 0, 5)
 	m.Add("eq", linexpr.TermOf(x, 2), linexpr.EQ, 1)
 	m.SetObjective(linexpr.TermOf(x, 1), false)
-	s, err := Solve(m.Compile(), Options{})
+	s, err := solve(m.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +118,7 @@ func TestSolutionsAreExactlyIntegral(t *testing.T) {
 	x := m.NewVar("x", linexpr.Integer, 0, 7)
 	m.Add("c", linexpr.TermOf(x, 3), linexpr.LE, 10)
 	m.SetObjective(linexpr.TermOf(x, 1), true)
-	s, err := Solve(m.Compile(), Options{})
+	s, err := solve(m.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +135,7 @@ func TestSolvePoolEnumeratesAllOptima(t *testing.T) {
 	m.Add("cover", linexpr.Sum(v...), linexpr.GE, 2)
 	m.SetObjective(linexpr.Sum(v...), false)
 
-	pool, agg, err := SolvePool(m.Compile(), Options{}, 0, 1e-6)
+	pool, agg, err := solvePool(m.Compile(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +171,7 @@ func TestSolvePoolRespectsLimit(t *testing.T) {
 	v := []linexpr.VarID{m.Binary("a"), m.Binary("b"), m.Binary("c"), m.Binary("d")}
 	m.Add("cover", linexpr.Sum(v...), linexpr.GE, 2)
 	m.SetObjective(linexpr.Sum(v...), false)
-	pool, _, err := SolvePool(m.Compile(), Options{}, 2, 1e-6)
+	pool, _, err := solvePool(m.Compile(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +187,7 @@ func TestSolvePoolSingleOptimum(t *testing.T) {
 	b := m.Binary("b")
 	m.Add("one", linexpr.Sum(a, b), linexpr.GE, 1)
 	m.SetObjective(linexpr.TermOf(a, 1).PlusTerm(b, 2), false)
-	pool, _, err := SolvePool(m.Compile(), Options{}, 0, 1e-6)
+	pool, _, err := solvePool(m.Compile(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +201,7 @@ func TestSolvePoolInfeasible(t *testing.T) {
 	a := m.Binary("a")
 	m.Add("no", linexpr.TermOf(a, 1), linexpr.GE, 2)
 	m.SetObjective(linexpr.TermOf(a, 1), false)
-	pool, agg, err := SolvePool(m.Compile(), Options{}, 0, 1e-6)
+	pool, agg, err := solvePool(m.Compile(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +214,7 @@ func TestSolvePoolRejectsGeneralIntegers(t *testing.T) {
 	m := linexpr.NewModel()
 	x := m.NewVar("x", linexpr.Integer, 0, 5)
 	m.SetObjective(linexpr.TermOf(x, 1), false)
-	if _, _, err := SolvePool(m.Compile(), Options{}, 0, 1e-6); err == nil {
+	if _, _, err := solvePool(m.Compile(), 0); err == nil {
 		t.Fatal("SolvePool should reject non-binary integer variables")
 	}
 }
@@ -222,7 +232,8 @@ func TestIncrementalCutSteppingMimicsUpdateStep(t *testing.T) {
 	m.SetObjective(obj, false)
 
 	compiled := m.Compile()
-	s1, err := Solve(compiled, Options{})
+	st := NewState(compiled, Options{})
+	s1, err := st.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +242,7 @@ func TestIncrementalCutSteppingMimicsUpdateStep(t *testing.T) {
 	}
 	// Cut: objective >= 1 + eps  →  move past cost class 1.
 	compiled.AddExprRow("cut1", obj, linexpr.GE, s1.Objective+0.5)
-	s2, err := Solve(compiled, Options{})
+	s2, err := st.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +250,7 @@ func TestIncrementalCutSteppingMimicsUpdateStep(t *testing.T) {
 		t.Fatalf("second solve z=%v b=%v, want z=2 b=1", s2.Objective, s2.X[b])
 	}
 	compiled.AddExprRow("cut2", obj, linexpr.GE, s2.Objective+0.5)
-	s3, err := Solve(compiled, Options{})
+	s3, err := st.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +258,7 @@ func TestIncrementalCutSteppingMimicsUpdateStep(t *testing.T) {
 		t.Fatalf("third solve z=%v, want 3", s3.Objective)
 	}
 	compiled.AddExprRow("cut3", obj, linexpr.GE, s3.Objective+0.5)
-	s4, err := Solve(compiled, Options{})
+	s4, err := st.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +345,7 @@ func TestRandomBinaryProblemsMatchBruteForce(t *testing.T) {
 		m.SetObjective(obj, false)
 
 		c := m.Compile()
-		s, err := Solve(c, Options{})
+		s, err := solve(c.Clone())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -377,7 +388,7 @@ func TestRandomPoolCompleteness(t *testing.T) {
 		m.SetObjective(obj, false)
 
 		c := m.Compile()
-		pool, agg, err := SolvePool(c, Options{}, 0, 1e-6)
+		pool, agg, err := solvePool(c.Clone(), 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

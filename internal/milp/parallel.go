@@ -24,10 +24,11 @@
 //     a task runs, never what it returns or where it lands, so the
 //     enumerated pool is bit-identical for any Workers value.
 //
-// Task-level staleness follows the same ladder as the sequential path:
-// a task whose kernel drifts is redone once on a fresh cold clone, and
-// a second failure aborts the parallel call, which then falls back to
-// the sequential or legacy path.
+// Every task dives on the parent's kernel kind, so a state the distress
+// ladder has switched to the sparse kernel dives sparse too. A task whose
+// kernel drifts is redone once on a fresh cold clone; a second failure
+// fails the parallel call, which the State's distress ladder then
+// redoes (see State).
 package milp
 
 import (
@@ -186,11 +187,12 @@ func (st *State) runDive(task diveTask, cutoffRow float64, coldStart bool) diveR
 		clone.Lo[d.j], clone.Hi[d.j] = d.lo, d.hi
 	}
 	local := &State{p: clone, opt: st.opt, objRow: st.objRow, red: st.red}
-	sv, err := st.opt.newKernel(clone)
+	sv, err := newKernel(clone, st.kind)
 	if err != nil {
 		return diveResult{err: err}
 	}
 	local.sv = sv
+	local.setConfirm(st.confirm)
 	local.applyReductions()
 	pending := make(map[int]bool, len(st.retired))
 	for _, r := range st.retired {
@@ -216,7 +218,7 @@ func (st *State) runDive(task diveTask, cutoffRow float64, coldStart bool) diveR
 		return diveResult{err: err}
 	}
 	d := sv.Stats()
-	if d.StaleRebuilds != s0.StaleRebuilds {
+	if d.StaleRebuilds != s0.StaleRebuilds && !st.confirm {
 		return diveResult{err: fmt.Errorf("milp: dive kernel went stale")}
 	}
 	return diveResult{

@@ -148,56 +148,3 @@ func parallelDeterminismTest(t *testing.T, base Options) {
 		}
 	}
 }
-
-// TestParallelPoolAcrossCutChain drives pool calls interleaved with
-// caller-appended pruning cuts (the Algorithm 1 pattern) under the
-// parallel path, against the clone-based legacy pools as oracle.
-func TestParallelPoolAcrossCutChain(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
-		p := randomPoolMILP(seed+400, 8, 6)
-		legacy := p.Clone()
-		st := NewState(p, Options{SparseLP: true, Workers: 4})
-		for round := 0; round < 3; round++ {
-			pool, agg, err := st.SolvePool(0, 1e-6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lpool, lagg, err := SolvePool(legacy, Options{}, 0, 1e-6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if agg.Status != lagg.Status {
-				t.Fatalf("seed %d round %d: status %v, legacy %v", seed, round, agg.Status, lagg.Status)
-			}
-			if agg.Status != Optimal {
-				break
-			}
-			if math.Abs(agg.Objective-lagg.Objective) > 1e-9*(1+math.Abs(lagg.Objective)) {
-				t.Fatalf("seed %d round %d: obj %.12g, legacy %.12g", seed, round, agg.Objective, lagg.Objective)
-			}
-			wk, lk := sortedSetKeys(pool), sortedSetKeys(lpool)
-			if len(wk) != len(lk) {
-				t.Fatalf("seed %d round %d: pool %d vs legacy %d\nwarm %v\nlegacy %v",
-					seed, round, len(wk), len(lk), wk, lk)
-			}
-			for i := range wk {
-				if wk[i] != lk[i] {
-					t.Fatalf("seed %d round %d member %d: %s vs %s", seed, round, i, wk[i], lk[i])
-				}
-			}
-			for _, ps := range pool {
-				if err := CheckFeasible(p, ps.X, 1e-6); err != nil {
-					t.Fatalf("seed %d round %d: %v", seed, round, err)
-				}
-			}
-			// Prune: require strictly worse objective next round, on both
-			// problems identically.
-			coefs := make([]float64, p.NumVars)
-			copy(coefs, p.Obj)
-			rhs := internalMin(p, agg.Objective) - p.ObjConst + 1e-4
-			sense := linexpr.GE
-			p.AddRow(fmt.Sprintf("prune_%d", round), coefs, sense, rhs)
-			legacy.AddRow(fmt.Sprintf("prune_%d", round), append([]float64(nil), coefs...), sense, rhs)
-		}
-	}
-}

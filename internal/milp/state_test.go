@@ -1,172 +1,42 @@
 package milp
 
 import (
+	"errors"
 	"math"
-	"sort"
 	"testing"
 
 	"hiopt/internal/linexpr"
-	"hiopt/internal/rng"
+	"hiopt/internal/lp"
 )
 
-// randomBinaryMILP builds a random pure-binary instance; maximize flips
-// the direction so the Negated handling is exercised.
-func randomBinaryMILP(g *rng.Stream, maximize bool) *linexpr.Compiled {
-	n := 3 + g.Intn(6)
-	rows := 1 + g.Intn(4)
-	m := linexpr.NewModel()
-	ids := make([]linexpr.VarID, n)
-	for i := range ids {
-		ids[i] = m.Binary("")
-	}
-	for r := 0; r < rows; r++ {
-		e := linexpr.Expr{}
-		for _, id := range ids {
-			e = e.PlusTerm(id, float64(g.Intn(11)-5))
-		}
-		sense := []linexpr.Sense{linexpr.LE, linexpr.GE}[g.Intn(2)]
-		m.Add("", e, sense, float64(g.Intn(9)-4))
-	}
-	obj := linexpr.Expr{}
-	for _, id := range ids {
-		obj = obj.PlusTerm(id, float64(g.Intn(21)-10))
-	}
-	m.SetObjective(obj, maximize)
-	return m.Compile()
-}
-
-// TestStateSolveMatchesLegacy: the warm bound-diff branch-and-bound must
-// agree with the clone-based Solve on status and objective.
-func TestStateSolveMatchesLegacy(t *testing.T) {
-	g := rng.NewSource(91)
-	gen := g.Stream("gen")
-	for trial := 0; trial < 120; trial++ {
-		c := randomBinaryMILP(gen, trial%3 == 0)
-		want, err := Solve(c, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: legacy: %v", trial, err)
-		}
-		st := NewState(c.Clone(), Options{})
-		if st.Legacy() {
-			t.Fatalf("trial %d: unexpected legacy fallback", trial)
-		}
-		got, err := st.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: warm: %v", trial, err)
-		}
-		if got.Status != want.Status {
-			t.Fatalf("trial %d: status %v, legacy %v", trial, got.Status, want.Status)
-		}
-		if want.Status != Optimal {
-			continue
-		}
-		if math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
-			t.Fatalf("trial %d: obj %.12g, legacy %.12g", trial, got.Objective, want.Objective)
-		}
-		if err := CheckFeasible(c, got.X, 1e-6); err != nil {
-			t.Fatalf("trial %d: warm point infeasible: %v", trial, err)
-		}
-		if got.WarmSolves == 0 && got.Nodes > 1 {
-			t.Fatalf("trial %d: no warm solves over %d nodes", trial, got.Nodes)
-		}
-	}
-}
-
-func poolKeys(pool []PoolSolution) []string {
-	keys := make([]string, len(pool))
-	for i, ps := range pool {
-		keys[i] = keyOf(ps.X)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// TestStatePoolMatchesLegacyAcrossCuts drives a persistent State through
-// the Algorithm 1 shape — SolvePool, append a pruning cut, SolvePool again
-// — and checks each round's pool equals the clone-based SolvePool's as a
-// set, and that every member stays feasible against the shared arena
-// (i.e. the no-good retirement protocol leaves no live cut behind).
-func TestStatePoolMatchesLegacyAcrossCuts(t *testing.T) {
-	g := rng.NewSource(92)
-	gen := g.Stream("gen")
-	for trial := 0; trial < 40; trial++ {
-		pristine := randomBinaryMILP(gen, false)
-		arena := pristine.Clone()
-		st := NewState(arena, Options{})
-		warmPools, coldPools, optRounds := 0, 0, 0
-		for round := 0; round < 4; round++ {
-			wantPool, wantAgg, err := SolvePool(pristine, Options{}, 0, 1e-6)
-			if err != nil {
-				t.Fatalf("trial %d round %d: legacy: %v", trial, round, err)
-			}
-			gotPool, gotAgg, err := st.SolvePool(0, 1e-6)
-			if err != nil {
-				t.Fatalf("trial %d round %d: warm: %v", trial, round, err)
-			}
-			if gotAgg.Status != wantAgg.Status {
-				t.Fatalf("trial %d round %d: status %v, legacy %v", trial, round, gotAgg.Status, wantAgg.Status)
-			}
-			if wantAgg.Status != Optimal {
-				break
-			}
-			optRounds++
-			if math.Abs(gotAgg.Objective-wantAgg.Objective) > 1e-9*(1+math.Abs(wantAgg.Objective)) {
-				t.Fatalf("trial %d round %d: obj %.12g, legacy %.12g", trial, round, gotAgg.Objective, wantAgg.Objective)
-			}
-			wk, gk := poolKeys(wantPool), poolKeys(gotPool)
-			if len(wk) != len(gk) {
-				t.Fatalf("trial %d round %d: pool size %d, legacy %d", trial, round, len(gk), len(wk))
-			}
-			for i := range wk {
-				if wk[i] != gk[i] {
-					t.Fatalf("trial %d round %d: pool mismatch\n got %v\nwant %v", trial, round, gk, wk)
-				}
-			}
-			// Every member must satisfy the shared arena as the DSE core
-			// sees it — protocol rows included.
-			for i, ps := range gotPool {
-				if err := CheckFeasible(arena, ps.X, 1e-6); err != nil {
-					t.Fatalf("trial %d round %d member %d: arena check: %v", trial, round, i, err)
-				}
-			}
-			warmPools += gotAgg.WarmSolves
-			coldPools += gotAgg.ColdSolves
-			// Append the same pruning cut to both problems, mimicking
-			// Update(P̃, P̄ > P̄*): objective must exceed this round's
-			// optimum by a margin.
-			cut := bestCut(pristine, wantAgg.Objective)
-			pristine.AddRow("prune", cut.coefs, linexpr.GE, cut.rhs)
-			arena.AddRow("prune", append([]float64(nil), cut.coefs...), linexpr.GE, cut.rhs)
-		}
-		if optRounds > 0 && warmPools <= coldPools {
-			t.Fatalf("trial %d: warm path barely used: warm=%d cold=%d", trial, warmPools, coldPools)
-		}
-	}
-}
-
-type cutRow struct {
-	coefs []float64
-	rhs   float64
-}
-
-func bestCut(p *linexpr.Compiled, objective float64) cutRow {
-	coefs := append([]float64(nil), p.Obj...)
-	return cutRow{coefs: coefs, rhs: internalMin(p, objective) - p.ObjConst + 0.5}
-}
-
-// TestStatePoolRespectsLimit: with a truncating limit the warm pool must
-// contain exactly limit members, each optimal within tolerance and
-// feasible (set equality with the cold path is only guaranteed for
-// complete enumerations).
+// TestStatePoolRespectsLimit: with a truncating limit the pool must
+// contain exactly limit members, each optimal within tolerance, feasible,
+// and a member of the complete slab (the capped pool runs the same warm
+// single-tree enumeration and stops early; which members survive
+// follows its discovery order).
 func TestStatePoolRespectsLimit(t *testing.T) {
-	m := linexpr.NewModel()
-	ids := make([]linexpr.VarID, 5)
-	for i := range ids {
-		ids[i] = m.Binary("")
+	build := func() *linexpr.Compiled {
+		m := linexpr.NewModel()
+		ids := make([]linexpr.VarID, 5)
+		for i := range ids {
+			ids[i] = m.Binary("")
+		}
+		m.Add("pick2", linexpr.Sum(ids...), linexpr.EQ, 2)
+		m.SetObjective(linexpr.Sum(ids...), false)
+		return m.Compile()
 	}
-	m.Add("pick2", linexpr.Sum(ids...), linexpr.EQ, 2)
-	m.SetObjective(linexpr.Sum(ids...), false)
-	arena := m.Compile()
+	full, _, err := NewState(build(), Options{}).SolvePool(0, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 10 {
+		t.Fatalf("complete slab has %d members, want C(5,2) = 10", len(full))
+	}
+	slab := map[string]bool{}
+	for _, ps := range full {
+		slab[keyOf(ps.X)] = true
+	}
+	arena := build()
 	st := NewState(arena, Options{})
 	pool, agg, err := st.SolvePool(3, 1e-6)
 	if err != nil {
@@ -175,6 +45,10 @@ func TestStatePoolRespectsLimit(t *testing.T) {
 	if agg.Status != Optimal || len(pool) != 3 {
 		t.Fatalf("status %v, %d members", agg.Status, len(pool))
 	}
+	if agg.WarmSolves == 0 {
+		t.Error("capped pool recorded no warm solves: it must run on the warm state")
+	}
+	seen := map[string]bool{}
 	for _, ps := range pool {
 		if math.Abs(ps.Objective-2) > 1e-9 {
 			t.Fatalf("member objective %v", ps.Objective)
@@ -182,33 +56,32 @@ func TestStatePoolRespectsLimit(t *testing.T) {
 		if err := CheckFeasible(arena, ps.X, 1e-6); err != nil {
 			t.Fatal(err)
 		}
+		k := keyOf(ps.X)
+		if !slab[k] || seen[k] {
+			t.Fatalf("capped member %s is not a distinct member of the complete slab", k)
+		}
+		seen[k] = true
 	}
 }
 
-// TestStateLegacyFallback: a variable with an infinite bound cannot be
-// hosted by the warm kernel; the State must transparently delegate.
-func TestStateLegacyFallback(t *testing.T) {
+// TestStateUnboundedArenaErrors: a variable with an infinite bound cannot
+// be hosted by either kernel; the State must report NoKernel and every
+// solving call must return the lp.ErrUnboundedVar error.
+func TestStateUnboundedArenaErrors(t *testing.T) {
 	m := linexpr.NewModel()
 	x := m.Binary("x")
 	y := m.NewVar("y", linexpr.Continuous, 0, math.Inf(1))
 	m.Add("cap", linexpr.Expr{}.PlusTerm(x, 1).PlusTerm(y, 1), linexpr.LE, 1.5)
 	m.SetObjective(linexpr.Expr{}.PlusTerm(x, -2).PlusTerm(y, -1), false)
 	st := NewState(m.Compile(), Options{})
-	if !st.Legacy() {
-		t.Fatal("expected legacy fallback for unbounded variable")
+	if st.Kernel() != NoKernel {
+		t.Fatalf("kernel %v, want none for an unbounded variable", st.Kernel())
 	}
-	sol, err := st.Solve()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := st.Solve(); !errors.Is(err, lp.ErrUnboundedVar) {
+		t.Fatalf("Solve error %v, want lp.ErrUnboundedVar", err)
 	}
-	if sol.Status != Optimal || math.Abs(sol.Objective-(-2.5)) > 1e-6 {
-		t.Fatalf("legacy fallback: status %v obj %v", sol.Status, sol.Objective)
+	if _, _, err := st.SolvePool(0, 1e-6); !errors.Is(err, lp.ErrUnboundedVar) {
+		t.Fatalf("SolvePool error %v, want lp.ErrUnboundedVar", err)
 	}
-	pool, agg, err := st.SolvePool(0, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Status != Optimal || len(pool) != 1 {
-		t.Fatalf("legacy pool: status %v, %d members", agg.Status, len(pool))
-	}
+	st.SetRowRHS(0, 2) // arena-only retarget: must not panic without a kernel
 }

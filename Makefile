@@ -3,9 +3,11 @@
 # race detector on the packages with concurrent evaluation loops.
 # `make bench-smoke` compiles and runs every benchmark once — enough to
 # catch bit-rot in the perf harness without waiting for statistically
-# meaningful timings. `make benchcmp` re-measures the micro-benchmarks
-# and diffs them against the checked-in BENCH_simcore.json baseline,
-# failing on >10% ns/op regressions.
+# meaningful timings. It includes every BenchmarkMicro/* entry, the same
+# internal/microbench registry that `hibench -benchjson` measures.
+# `make benchcmp` re-measures the micro-benchmarks and diffs them against
+# the checked-in BENCH_simcore.json baseline, failing on >10% ns/op
+# regressions.
 
 GO ?= go
 
@@ -64,11 +66,12 @@ gamma-smoke:
 	$(GO) run ./cmd/hiopt -gamma 1 -robustpdrmin 0.6 -duration 10 -maxiter 1 -adaptive > /dev/null
 
 # The evaluation-engine gate: the determinism/dedup/worker-pool property
-# tests under the race detector, plus one pass of the engine benchmarks
-# (dispatch overhead and cache-hit path).
+# tests under the race detector, plus one pass of the gated engine_*
+# micro-benchmarks (dispatch overhead, cache-hit path, contention, disk
+# tier, replication scheduling).
 engine-smoke:
 	$(GO) test -race -count=1 ./internal/engine/
-	$(GO) test -run=NONE -bench='BenchmarkEngine' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkMicro/engine_' -benchtime=1x .
 
 # The persistent-cache gate: a cold hisweep populates a cache file, a
 # second process restarts from it, and the warm run must (a) produce a

@@ -47,10 +47,11 @@
 // counts, across shard counts (sharding only changes which mutex guards a
 // key, never what is computed), and across cold-vs-warm runs (snapshot
 // entries store the exact float bits of the in-memory Result). Errors are
-// likewise scheduling-independent: after the first failure the remaining
-// sub-tasks are skipped, each failed request reports its
-// lowest-replication error, and all collected errors are sorted before
-// being joined.
+// likewise scheduling-independent: a batch reports the failing request
+// with the lowest submission index (with its lowest-replication error).
+// After a failure only the sub-tasks of later requests are skipped, so
+// every earlier request still runs and the lowest failing index does not
+// depend on which sub-task failed first.
 //
 // Sharing one Engine between layers shares its cache: an exhaustive sweep
 // can warm-fill the optimizer's full-fidelity entries, because both
@@ -62,7 +63,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -491,7 +491,7 @@ type job struct {
 	ran     int              // replications actually simulated
 	err     error            // lowest-replication error
 	errRep  int
-	aborted bool // a sub-task was skipped after the batch failed
+	aborted bool // a sub-task was skipped after an earlier request failed
 }
 
 // task is one schedulable unit of a batch: one replication of a job
@@ -515,11 +515,43 @@ type batch struct {
 	total   int
 	tasks   []task
 
-	failed     atomic.Bool
-	ctxErrOnce sync.Once  // records ctx's error into errs exactly once
-	mu         sync.Mutex // guards results/done reporting, errs, and job state
-	errs       []error
+	// stop is the lowest submission index of a failed request (total
+	// while none has failed, -1 once the context is cancelled). Sub-tasks
+	// of requests above it are skipped; those at or below it always run,
+	// which is what makes the reported failure a function of the requests
+	// alone.
+	stop       atomic.Int64
+	ctxErrOnce sync.Once  // records ctx's error exactly once
+	mu         sync.Mutex // guards results/done reporting, the errors, and job state
+	ctxErr     error      // the context's error, once observed
+	failErr    error      // the error of request failIdx
+	failIdx    int
 	done       int
+}
+
+// skip reports whether sub-tasks of request idx are skipped: an earlier
+// request failed, or the batch was cancelled. One atomic load.
+func (b *batch) skip(idx int) bool { return int64(idx) > b.stop.Load() }
+
+// lowerStop records that request idx failed (or, with idx -1, that the
+// batch was cancelled).
+func (b *batch) lowerStop(idx int) {
+	for {
+		cur := b.stop.Load()
+		if int64(idx) >= cur || b.stop.CompareAndSwap(cur, int64(idx)) {
+			return
+		}
+	}
+}
+
+// fail records request idx's error, keeping the lowest-index failure.
+func (b *batch) fail(idx int, err error) {
+	b.lowerStop(idx)
+	b.mu.Lock()
+	if b.failErr == nil || idx < b.failIdx {
+		b.failErr, b.failIdx = err, idx
+	}
+	b.mu.Unlock()
 }
 
 // cancelled reports (and, on the first observation, records) the batch
@@ -535,9 +567,9 @@ func (b *batch) cancelled() bool {
 		return false
 	}
 	b.ctxErrOnce.Do(func() {
-		b.failed.Store(true)
+		b.lowerStop(-1)
 		b.mu.Lock()
-		b.errs = append(b.errs, err)
+		b.ctxErr = err
 		b.mu.Unlock()
 	})
 	return true
@@ -578,10 +610,10 @@ func (e *Engine) EvaluateBatchCtx(ctx context.Context, reqs []Request, onDone fu
 // not the request count; the partials are merged in replication order,
 // keeping results bit-identical to sequential evaluation for any Workers
 // value. onDone, when non-nil, is called under a lock after each
-// completed request with the completed and total counts. After the first
-// failure the remaining sub-tasks are skipped; all collected errors are
-// sorted and joined, so the reported error does not depend on goroutine
-// scheduling.
+// completed request with the completed and total counts. A failed batch
+// reports the failing request with the lowest submission index: after a
+// failure only the sub-tasks of later requests are skipped, so the
+// reported error does not depend on goroutine scheduling.
 func (e *Engine) EvaluateBatchInto(results []*netsim.Result, reqs []Request, onDone func(done, total int)) error {
 	return e.EvaluateBatchIntoCtx(nil, results, reqs, onDone)
 }
@@ -641,6 +673,7 @@ func (e *Engine) EvaluateBatchIntoCtx(ctx context.Context, results []*netsim.Res
 		onDone:  onDone,
 		total:   len(reqs),
 	}
+	b.stop.Store(int64(len(reqs)))
 
 	// Resolution pass, sequential in submission order: answer completed
 	// cache entries (promoting persisted-tier entries on first use),
@@ -711,11 +744,11 @@ func (e *Engine) EvaluateBatchIntoCtx(ctx context.Context, results []*netsim.Res
 		})
 	}
 
-	if len(b.errs) > 0 {
-		sort.Slice(b.errs, func(i, j int) bool { return b.errs[i].Error() < b.errs[j].Error() })
-		return errors.Join(b.errs...)
+	first, second := b.ctxErr, b.failErr
+	if first != nil && second != nil && second.Error() < first.Error() {
+		first, second = second, first
 	}
-	return nil
+	return errors.Join(first, second)
 }
 
 // RunDrain fans n index-addressed tasks over min(workers, n) goroutines.
@@ -796,13 +829,13 @@ func (b *batch) worker(claim func() int) {
 		if t < 0 {
 			return
 		}
-		b.cancelled() // fold a done context into the failed state
+		b.cancelled() // fold a done context into stop
 		tk := b.tasks[t]
 		if tk.wait != nil {
 			ev = b.waitTask(ev, tk)
 			continue
 		}
-		if b.failed.Load() {
+		if b.skip(tk.j.idx) {
 			// Skip the work but still complete the sub-task, so the job
 			// finalizes (releasing any waiters) and the batch drains.
 			b.completeTask(tk.j, tk.rep, nil, 0, nil, true)
@@ -814,18 +847,10 @@ func (b *batch) worker(claim func() int) {
 			ev = netsim.NewEvaluator()
 		}
 		if err != nil {
-			b.failed.Store(true)
+			b.lowerStop(tk.j.idx)
 		}
 		b.completeTask(tk.j, tk.rep, res, ran, err, false)
 	}
-}
-
-// fail marks the batch failed and records err.
-func (b *batch) fail(err error) {
-	b.failed.Store(true)
-	b.mu.Lock()
-	b.errs = append(b.errs, err)
-	b.mu.Unlock()
 }
 
 // waitTask resolves one dedup sub-task: wait for the foreign leader of
@@ -849,8 +874,9 @@ func (b *batch) waitTask(ev *netsim.Evaluator, tk task) *netsim.Evaluator {
 	e := b.e
 	en := tk.wait
 	for {
-		if b.failed.Load() {
-			// The batch is doomed; don't block on a foreign leader.
+		if b.skip(tk.idx) {
+			// An earlier request failed (or the batch was cancelled);
+			// don't block on a foreign leader.
 			return ev
 		}
 		select {
@@ -881,12 +907,13 @@ func (b *batch) waitTask(ev *netsim.Evaluator, tk task) *netsim.Evaluator {
 		if !errors.Is(err, errAborted) {
 			// A real evaluation failure: every batch sharing the key
 			// reports it.
-			b.fail(err)
+			b.fail(tk.idx, err)
 			return ev
 		}
-		if b.failed.Load() {
-			// The abort came from this batch's own failure (or our
-			// context's cancellation); its root cause is already recorded.
+		if b.skip(tk.idx) {
+			// The abort came from an earlier request's failure in this
+			// batch (or our context's cancellation); its root cause is
+			// already recorded.
 			return ev
 		}
 		// Foreign abort: re-resolve the key.
@@ -950,7 +977,7 @@ func (b *batch) leadRetry(ev *netsim.Evaluator, req *Request, en *entry, idx int
 		if b.isCtxErr(err) {
 			b.cancelled()
 		} else {
-			b.fail(err)
+			b.fail(idx, err)
 		}
 		return ev
 	}
@@ -1144,9 +1171,7 @@ func (b *batch) finalizeJob(j *job) {
 		if b.isCtxErr(j.err) {
 			b.cancelled() // records ctx's error exactly once
 		} else {
-			b.mu.Lock()
-			b.errs = append(b.errs, j.err)
-			b.mu.Unlock()
+			b.fail(j.idx, j.err)
 		}
 	}
 }

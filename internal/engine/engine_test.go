@@ -231,9 +231,11 @@ func TestPanicRecoveredIntoError(t *testing.T) {
 	}
 }
 
-// TestErrorDeterministicAcrossRuns: the joined batch error must not
-// depend on goroutine scheduling.
+// TestErrorDeterministicAcrossRuns: the batch error must not depend on
+// goroutine scheduling — it names the failing request with the lowest
+// submission index, whichever sub-task failed first.
 func TestErrorDeterministicAcrossRuns(t *testing.T) {
+	want := "engine: evaluation of " + testRequests(false)[0].Cfg.Label() + " panicked: boom"
 	msg := func() string {
 		e, err := New(4)
 		if err != nil {
@@ -253,8 +255,8 @@ func TestErrorDeterministicAcrossRuns(t *testing.T) {
 		}
 		return batchErr.Error()
 	}
-	if a, b := msg(), msg(); a != b {
-		t.Fatalf("batch error depends on scheduling:\n a: %s\n b: %s", a, b)
+	if a, b := msg(), msg(); a != b || a != want {
+		t.Fatalf("batch error depends on scheduling:\n a: %s\n b: %s\n want: %s", a, b, want)
 	}
 }
 

@@ -13,7 +13,7 @@ GO ?= go
 
 .PHONY: check build test vet fmt race bench-smoke benchcmp benchcmp-auto engine-smoke robust-smoke milp-smoke gamma-smoke cache-smoke serve-smoke pareto-smoke
 
-check: build test vet race fmt gamma-smoke serve-smoke pareto-smoke benchcmp-auto
+check: build test vet race fmt gamma-smoke cache-smoke serve-smoke pareto-smoke benchcmp-auto
 
 build:
 	$(GO) build ./...
@@ -73,20 +73,30 @@ engine-smoke:
 	$(GO) test -race -count=1 ./internal/engine/
 	$(GO) test -run=NONE -bench='BenchmarkMicro/engine_' -benchtime=1x .
 
-# The persistent-cache gate: a cold hisweep populates a cache file, a
-# second process restarts from it, and the warm run must (a) produce a
-# bit-identical CSV and (b) answer >= 90% of its submissions without
-# re-simulating (the "N simulated" figure of the engine stats line).
+# The persistent-cache gate: a cold run populates a cache file, a second
+# process restarts from it, and the warm run's engine: line ("N
+# submitted, M simulated ...") must show it re-simulated at most
+# $(2) of its N submissions. hisweep must also emit a bit-identical
+# CSV and may re-simulate up to 10%; hiopt and hisim at a fixed fidelity
+# must re-simulate nothing.
+cache-warm-check = awk -v max=$(2) '/^engine:/ { ok = 1; \
+		if ($$4 + 0 > max * $$2) { \
+			printf "cache-smoke: $(1) warm run re-simulated %s of %s submissions (> %s)\n", $$4, $$2, max; exit 1; } \
+		else printf "cache-smoke: $(1) warm run re-simulated %s of %s submissions\n", $$4, $$2 } \
+		END { if (!ok) { print "cache-smoke: no engine: line in $(1) warm output"; exit 1 } }' /tmp/hiopt-cache-$(1)-warm.out
+
 cache-smoke:
-	@rm -f /tmp/hiopt-cache-smoke.bin /tmp/hiopt-cache-cold.csv /tmp/hiopt-cache-warm.csv
-	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-smoke.bin -csv /tmp/hiopt-cache-cold.csv > /tmp/hiopt-cache-cold.out
-	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-smoke.bin -csv /tmp/hiopt-cache-warm.csv > /tmp/hiopt-cache-warm.out
+	@rm -f /tmp/hiopt-cache-*.bin /tmp/hiopt-cache-*.csv /tmp/hiopt-cache-*.out
+	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-hisweep.bin -csv /tmp/hiopt-cache-cold.csv > /tmp/hiopt-cache-hisweep-cold.out
+	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-hisweep.bin -csv /tmp/hiopt-cache-warm.csv > /tmp/hiopt-cache-hisweep-warm.out
 	cmp /tmp/hiopt-cache-cold.csv /tmp/hiopt-cache-warm.csv
-	@awk '/^engine:/ { sub(",", "", $$2); sub(",", "", $$4); sub(",", "", $$2); \
-		if ($$4 + 0 > 0.10 * $$2) { \
-			printf "cache-smoke: warm run re-simulated %s of %s submissions (> 10%%)\n", $$4, $$2; exit 1; } \
-		else { printf "cache-smoke: warm run re-simulated %s of %s submissions\n", $$4, $$2; ok = 1 } } \
-		END { if (!ok) { print "cache-smoke: no engine stats line in warm output"; exit 1 } }' /tmp/hiopt-cache-warm.out
+	@$(call cache-warm-check,hisweep,0.10)
+	$(GO) run ./cmd/hiopt -duration 5 -cachefile /tmp/hiopt-cache-hiopt.bin > /tmp/hiopt-cache-hiopt-cold.out
+	$(GO) run ./cmd/hiopt -duration 5 -cachefile /tmp/hiopt-cache-hiopt.bin > /tmp/hiopt-cache-hiopt-warm.out
+	@$(call cache-warm-check,hiopt,0)
+	$(GO) run ./cmd/hisim -duration 5 -cachefile /tmp/hiopt-cache-hisim.bin > /tmp/hiopt-cache-hisim-cold.out
+	$(GO) run ./cmd/hisim -duration 5 -cachefile /tmp/hiopt-cache-hisim.bin > /tmp/hiopt-cache-hisim-warm.out
+	@$(call cache-warm-check,hisim,0)
 
 # The ε-constraint front gate: (a) the warm record-replay sweep must
 # select the exact per-bound optima of independent cold runs at >= 5×

@@ -187,28 +187,25 @@ func joinComma(s []string) string {
 }
 
 // runBenchCmp is the -cmp entry point: diff OLD and NEW benchmark JSON
-// files and exit non-zero when any metric regressed beyond its
-// threshold.
-func runBenchCmp(oldPath, newPath string, nsThreshold float64) {
+// files and fail when any metric regressed beyond its threshold.
+func runBenchCmp(oldPath, newPath string, nsThreshold float64) error {
 	if nsThreshold <= 0 {
 		nsThreshold = regressionThreshold
 	}
 	oldBF, err := readBenchFile(oldPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hibench -cmp:", err)
-		os.Exit(1)
+		return err
 	}
 	newBF, err := readBenchFile(newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hibench -cmp:", err)
-		os.Exit(1)
+		return err
 	}
 	regressed := compareBench(oldBF, newBF, nsThreshold, os.Stdout)
 	if len(regressed) > 0 {
-		fmt.Fprintf(os.Stderr, "hibench -cmp: %d benchmark(s) regressed beyond the thresholds (ns/op %.0f%%, allocs/op and B/op %.0f%%) or went missing unretired: %v\n",
+		return fmt.Errorf("%d benchmark(s) regressed beyond the thresholds (ns/op %.0f%%, allocs/op and B/op %.0f%%) or went missing unretired: %v",
 			len(regressed), 100*nsThreshold, 100*regressionThreshold, regressed)
-		os.Exit(1)
 	}
 	fmt.Printf("no ns/op regressions beyond %.0f%%, no allocs/op or B/op regressions beyond %.0f%%\n",
 		100*nsThreshold, 100*regressionThreshold)
+	return nil
 }

@@ -11,64 +11,46 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"time"
 
+	"hiopt/cmd/internal/cli"
 	"hiopt/internal/core"
 	"hiopt/internal/design"
-	"hiopt/internal/engine"
 	"hiopt/internal/lp"
 	"hiopt/internal/report"
 )
 
-func main() {
-	var (
-		pdrMin    = flag.Float64("pdrmin", 0.9, "minimum packet delivery ratio in [0,1]")
-		duration  = flag.Float64("duration", 60, "simulation horizon T_sim in seconds")
-		runs      = flag.Int("runs", 1, "simulation runs averaged per evaluation")
-		seed      = flag.Uint64("seed", 1, "master random seed")
-		paper     = flag.Bool("paper", false, "use the paper's full fidelity (600 s × 3 runs)")
-		pool      = flag.Int("pool", 0, "MILP solution-pool cap per iteration (0 = unlimited)")
-		noAlpha   = flag.Bool("noalpha", false, "disable the α-bound early termination (ablation)")
-		twoStage  = flag.Bool("twostage", false, "screen clearly-infeasible candidates with short simulations")
-		adaptive  = flag.Bool("adaptive", false, "confidence-gated early replication stopping in the screening and robust stages (savings shown in the engine stats)")
-		verbose   = flag.Bool("v", false, "print per-iteration progress")
-		milpWrk   = flag.Int("milpworkers", 0, "fan MILP pool enumeration across this many subtree dive workers (0 = sequential; pools are bit-identical)")
-		lpOut     = flag.String("lp", "", "write the MILP relaxation P̃ in CPLEX LP format to this file and exit")
-		mpsOut    = flag.String("mps", "", "write the MILP relaxation P̃ in free MPS format to this file and exit")
-		robust    = flag.Bool("robust", false, "verify candidates against k-node failure scenarios (simulate-and-screen)")
-		kfail     = flag.Int("kfail", 1, "simultaneous node failures k the -robust verifier screens against")
-		gammaFlag = flag.Float64("gamma", 0, "Γ protection budget: compile the Γ-robust relaxation into the proposer (> 0 implies -robust)")
-		robustMin = flag.Float64("robustpdrmin", 0, "robust reliability floor (0 = -pdrmin; the worst-case PDR ceiling is (N−0.75)/N)")
-		maxIter   = flag.Int("maxiter", 0, "Algorithm 1 iteration cap (0 = unlimited)")
-		cacheFile = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated search at the same fidelity starts warm")
-		shards    = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
-	)
-	flag.Parse()
-	if err := engine.CheckShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "hiopt:", err)
-		os.Exit(1)
-	}
+var (
+	pdrMin    = flag.Float64("pdrmin", 0.9, "minimum packet delivery ratio in [0,1]")
+	fidFlags  = cli.AddFidelity(flag.CommandLine)
+	pool      = flag.Int("pool", 0, "MILP solution-pool cap per iteration (0 = unlimited)")
+	noAlpha   = flag.Bool("noalpha", false, "disable the α-bound early termination (ablation)")
+	twoStage  = flag.Bool("twostage", false, "screen clearly-infeasible candidates with short simulations")
+	adaptive  = flag.Bool("adaptive", false, "confidence-gated early replication stopping in the screening and robust stages (savings shown in the engine stats)")
+	verbose   = flag.Bool("v", false, "print per-iteration progress")
+	milpWrk   = flag.Int("milpworkers", 0, "fan MILP pool enumeration across this many subtree dive workers (0 = sequential; pools are bit-identical)")
+	lpOut     = flag.String("lp", "", "write the MILP relaxation P̃ in CPLEX LP format to this file and exit")
+	mpsOut    = flag.String("mps", "", "write the MILP relaxation P̃ in free MPS format to this file and exit")
+	robust    = flag.Bool("robust", false, "verify candidates against k-node failure scenarios (simulate-and-screen)")
+	kfail     = flag.Int("kfail", 1, "simultaneous node failures k the -robust verifier screens against")
+	gammaFlag = flag.Float64("gamma", 0, "Γ protection budget: compile the Γ-robust relaxation into the proposer (> 0 implies -robust)")
+	robustMin = flag.Float64("robustpdrmin", 0, "robust reliability floor (0 = -pdrmin; the worst-case PDR ceiling is (N−0.75)/N)")
+	maxIter   = flag.Int("maxiter", 0, "Algorithm 1 iteration cap (0 = unlimited)")
+	engFlags  = cli.AddEngine(flag.CommandLine, "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated search at the same fidelity starts warm")
+)
 
+func main() {
+	flag.Parse()
+	fid := fidFlags.Fidelity()
 	pr := design.PaperProblem(*pdrMin)
-	pr.Duration = *duration
-	pr.Runs = *runs
-	pr.Seed = *seed
-	if *paper {
-		pr.Duration = 600
-		pr.Runs = 3
-	}
+	pr.Duration, pr.Runs, pr.Seed = fid.Duration, fid.Runs, fid.Seed
 
 	if *lpOut != "" {
-		f, err := os.Create(*lpOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := core.WriteRelaxationLP(pr, f); err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
+		if err := report.WriteFile(*lpOut, func(w io.Writer) error { return core.WriteRelaxationLP(pr, w) }); err != nil {
+			cli.Fatal("hiopt", err)
 		}
 		fmt.Printf("MILP relaxation written to %s\n", *lpOut)
 		return
@@ -76,25 +58,21 @@ func main() {
 	if *mpsOut != "" {
 		comp, _, err := core.CompileMILP(pr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
+			cli.Fatal("hiopt", err)
 		}
-		f, err := os.Create(*mpsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := lp.WriteMPS(f, comp, "hiopt"); err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
+		if err := report.WriteFile(*mpsOut, func(w io.Writer) error { return lp.WriteMPS(w, comp, "hiopt") }); err != nil {
+			cli.Fatal("hiopt", err)
 		}
 		fmt.Printf("MILP relaxation written to %s (MPS)\n", *mpsOut)
 		return
 	}
 
+	eng, err := engFlags.Open(os.Stdout, 0, fid.Sig())
+	if err != nil {
+		cli.Fatal("hiopt", err)
+	}
 	opts := core.Options{PoolLimit: *pool, DisableAlphaBound: *noAlpha, TwoStage: *twoStage, AdaptiveReps: *adaptive,
-		MILPWorkers: *milpWrk, MaxIterations: *maxIter}
+		MILPWorkers: *milpWrk, MaxIterations: *maxIter, Engine: eng.Engine}
 	if *robust || *gammaFlag > 0 {
 		opts.Robust = core.RobustOptions{
 			Enabled:      true,
@@ -104,39 +82,24 @@ func main() {
 		}
 	}
 	if *verbose {
-		opts.Progress = func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	var eng *engine.Engine
-	if *cacheFile != "" || *shards != 0 {
-		var err error
-		eng, err = engine.NewSharded(0, *shards)
-		if err == nil && *cacheFile != "" {
-			var n int
-			n, err = eng.AttachCacheFile(*cacheFile, engine.ContextSig(pr.Duration, pr.Runs, pr.Seed))
-			if n > 0 {
-				fmt.Printf("cache:        loaded %d entries from %s\n", n, *cacheFile)
+		opts.OnIteration = func(ev core.IterationEvent) {
+			best := math.Inf(1)
+			if ev.BestPoint != "" {
+				best = ev.BestPowerMW
 			}
+			fmt.Fprintf(os.Stderr, "iter %d: P̄*=%.4g mW, pool=%d, feasible=%d, P̄min=%.4g\n",
+				ev.Iter, ev.PBarStar, ev.PoolSize, ev.FeasibleCount, best)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
-		opts.Engine = eng
 	}
 	t0 := time.Now()
 	out, err := core.NewOptimizer(pr, opts).Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiopt:", err)
-		os.Exit(1)
+		cli.Fatal("hiopt", err)
 	}
 	elapsed := time.Since(t0)
-	if eng != nil {
-		if err := eng.CloseSpill(); err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
+	if *verbose {
+		fmt.Fprintf(os.Stderr, "stopped after %d iterations: %s, α-terminated %v\n",
+			len(out.Iterations), out.Status, out.TerminatedByAlpha)
 	}
 
 	fmt.Printf("status:       %s\n", out.Status)
@@ -146,7 +109,9 @@ func main() {
 		out.MILPNodes, out.LPIterations, out.MILPWarmSolves, out.MILPColdSolves, out.MILPRefactorizations, out.MILPKernelSwitches)
 	fmt.Printf("presolve:     %d vars fixed, %d rows dropped, %d coefs tightened; %d parallel dives\n",
 		out.PresolveFixedVars, out.PresolveDroppedRows, out.PresolveTightenedCoefs, out.MILPParallelDives)
-	fmt.Printf("engine:       %s\n", out.Engine)
+	if err := eng.Close(); err != nil {
+		cli.Fatal("hiopt", err)
+	}
 	fmt.Printf("α-terminated: %v\n", out.TerminatedByAlpha)
 	if opts.Robust.Enabled {
 		fmt.Printf("robust:       k=%d, Γ=%g — %d nominally feasible candidates rejected by the fault screen\n",

@@ -32,7 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hiopt/internal/engine"
+	"hiopt/cmd/internal/cli"
 	"hiopt/internal/serve"
 )
 
@@ -50,39 +50,31 @@ var profiles = []string{
 	`{"duration": 2, "max_iterations": 6, "sigma_scale": 1.5, "pdr_min": 0.85}`,
 }
 
+var (
+	url      = flag.String("url", "", "bench a live daemon at this base URL (default: in-process server)")
+	clients  = flag.Int("clients", 1000, "concurrent clients")
+	requests = flag.Int("requests", 0, "total requests (0 = 2 x clients)")
+	workers  = flag.Int("workers", 0, "in-process engine workers (0 = GOMAXPROCS)")
+	engFlags = cli.AddEngine(flag.CommandLine, "")
+	jsonOut  = flag.String("json", "", "append the result as benchmark \"ServeLoad\" to this BENCH_simcore.json file")
+)
+
 func main() {
-	var (
-		url      = flag.String("url", "", "bench a live daemon at this base URL (default: in-process server)")
-		clients  = flag.Int("clients", 1000, "concurrent clients")
-		requests = flag.Int("requests", 0, "total requests (0 = 2 x clients)")
-		workers  = flag.Int("workers", 0, "in-process engine workers (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "in-process engine cache shards, a power of two (0 = default)")
-		jsonOut  = flag.String("json", "", "append the result as benchmark \"ServeLoad\" to this BENCH_simcore.json file")
-	)
 	flag.Parse()
 	if *requests == 0 {
 		*requests = 2 * *clients
 	}
 
 	base := *url
+	var eng *cli.Engine
 	if base == "" {
-		if err := engine.CheckShards(*shards); err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve-bench:", err)
-			os.Exit(1)
+		var err error
+		if eng, err = engFlags.Open(os.Stdout, *workers, 0); err != nil {
+			cli.Fatal("hiserve-bench", err)
 		}
-		w := *workers
-		if w == 0 {
-			w = serve.DefaultWorkers()
-		}
-		eng, err := engine.NewSharded(w, *shards)
+		s, err := serve.New(serve.Config{Engine: eng.Engine, Capacity: 4 * eng.Workers(), MaxQueue: 4 * *clients})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve-bench:", err)
-			os.Exit(1)
-		}
-		s, err := serve.New(serve.Config{Engine: eng, Capacity: 4 * w, MaxQueue: 4 * *clients})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve-bench:", err)
-			os.Exit(1)
+			cli.Fatal("hiserve-bench", err)
 		}
 		ts := httptest.NewServer(s)
 		defer ts.Close()
@@ -137,8 +129,7 @@ func main() {
 				}
 				mu.Unlock()
 				if ref != nil && !bytes.Equal(ref, body) {
-					fmt.Fprintf(os.Stderr, "hiserve-bench: DETERMINISM VIOLATION on profile %d:\n%s\nvs\n%s\n", pi, ref, body)
-					os.Exit(1)
+					cli.Fatal("hiserve-bench", fmt.Errorf("DETERMINISM VIOLATION on profile %d:\n%s\nvs\n%s", pi, ref, body))
 				}
 			}
 		}()
@@ -147,8 +138,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	if fails.Load() > 0 {
-		fmt.Fprintf(os.Stderr, "hiserve-bench: %d of %d requests failed\n", fails.Load(), *requests)
-		os.Exit(1)
+		cli.Fatal("hiserve-bench", fmt.Errorf("%d of %d requests failed", fails.Load(), *requests))
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	pct := func(p float64) time.Duration {
@@ -165,11 +155,15 @@ func main() {
 	fmt.Printf("  p50 latency  %s\n", p50.Round(time.Microsecond))
 	fmt.Printf("  p99 latency  %s\n", p99.Round(time.Microsecond))
 	fmt.Printf("  determinism  ok (%d profiles byte-stable)\n", len(profiles))
+	if eng != nil {
+		if err := eng.Close(); err != nil {
+			cli.Fatal("hiserve-bench", err)
+		}
+	}
 
 	if *jsonOut != "" {
 		if err := appendResult(*jsonOut, len(latencies), *clients, dps, p50, p99); err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve-bench:", err)
-			os.Exit(1)
+			cli.Fatal("hiserve-bench", err)
 		}
 		fmt.Printf("  appended ServeLoad to %s\n", *jsonOut)
 	}

@@ -22,7 +22,7 @@ import (
 	"syscall"
 	"time"
 
-	"hiopt/internal/engine"
+	"hiopt/cmd/internal/cli"
 	"hiopt/internal/serve"
 )
 
@@ -33,50 +33,31 @@ import (
 // the file itself carries a fixed service signature.
 const serveCacheSig = 0x68697365727665 // "hiserve"
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
-		capacity  = flag.Int("capacity", 0, "admission capacity in nominal-request units (0 = 2 x workers)")
-		maxQueue  = flag.Int("maxqueue", 0, "admission wait-queue bound; beyond it requests get 429 (0 = 8 x capacity)")
-		robustWt  = flag.Int("robustweight", 0, "admission weight of a gamma-robust request (0 = 4)")
-		cacheFile = flag.String("cachefile", "", "persistent result cache: load completed simulations at startup and spill fresh ones, so a restarted daemon answers repeat tenants warm")
-		drainWait = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window")
-	)
-	flag.Parse()
+var (
+	addr      = flag.String("addr", ":8080", "listen address")
+	workers   = flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
+	capacity  = flag.Int("capacity", 0, "admission capacity in nominal-request units (0 = 2 x workers)")
+	maxQueue  = flag.Int("maxqueue", 0, "admission wait-queue bound; beyond it requests get 429 (0 = 8 x capacity)")
+	robustWt  = flag.Int("robustweight", 0, "admission weight of a gamma-robust request (0 = 4)")
+	engFlags  = cli.AddEngine(flag.CommandLine, "persistent result cache: load completed simulations at startup and spill fresh ones, so a restarted daemon answers repeat tenants warm")
+	drainWait = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window")
+)
 
-	if err := engine.CheckShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
-	}
-	w := *workers
-	if w == 0 {
-		w = serve.DefaultWorkers()
-	}
-	eng, err := engine.NewSharded(w, *shards)
+func main() {
+	flag.Parse()
+	eng, err := engFlags.Open(os.Stdout, *workers, serveCacheSig)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
-	}
-	if *cacheFile != "" {
-		n, err := eng.AttachCacheFile(*cacheFile, serveCacheSig)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("hiserve: cache: loaded %d entries from %s\n", n, *cacheFile)
+		cli.Fatal("hiserve", err)
 	}
 
 	s, err := serve.New(serve.Config{
-		Engine:       eng,
+		Engine:       eng.Engine,
 		Capacity:     *capacity,
 		MaxQueue:     *maxQueue,
 		RobustWeight: *robustWt,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
+		cli.Fatal("hiserve", err)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: s}
@@ -92,8 +73,7 @@ func main() {
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
+		cli.Fatal("hiserve", err)
 	case sig := <-sigc:
 		fmt.Printf("hiserve: %s, draining (up to %s)\n", sig, *drainWait)
 	}
@@ -103,11 +83,7 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "hiserve: shutdown:", err)
 	}
-	if err := eng.CloseSpill(); err != nil {
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
+	if err := eng.Close(); err != nil {
+		cli.Fatal("hiserve", err)
 	}
-	st := eng.Stats()
-	fmt.Printf("hiserve: done — %d submitted, %d simulated, %d cache hits\n",
-		st.Submitted, st.Simulated, st.CacheHits)
 }

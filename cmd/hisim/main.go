@@ -13,63 +13,40 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"hiopt/cmd/internal/cli"
 	"hiopt/internal/body"
 	"hiopt/internal/engine"
+	"hiopt/internal/experiments"
 	"hiopt/internal/fault"
 	"hiopt/internal/netsim"
 	"hiopt/internal/phys"
 	"hiopt/internal/report"
 )
 
-// engineShards is the -shards flag: the cache shard count of every
-// engine this command builds (0 = the engine default).
-var engineShards int
-
-func parseLocs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad location %q: %v", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+var (
+	locsFlag = flag.String("locs", "0,1,3,6", "comma-separated body-location indices (0=chest ... 9=back)")
+	macFlag  = flag.String("mac", "csma", "MAC protocol: csma or tdma")
+	rtFlag   = flag.String("routing", "star", "routing: star or mesh")
+	txFlag   = flag.Float64("tx", -10, "transmit power in dBm (-20, -10, or 0 for the CC2650)")
+	fidFlags = cli.AddFidelity(flag.CommandLine)
+	perNode  = flag.Bool("nodes", false, "print per-node metrics")
+	trace    = flag.String("trace", "", "write a CSV event trace of the (first) run to this file")
+	scenario = flag.String("scenario", "", "inject a fault scenario, e.g. \"fail:6@15,out:1@5-12,link:0-3@10-30,drain:3x100\"")
+	faults   = flag.String("faults", "", "robust evaluation against a generated scenario family, e.g. \"knode=1\" or \"coord-outage\"")
+	adaptive = flag.Bool("adaptive", false, "confidence-gated replication stopping in the -faults evaluation (scenarios decisively clear of -pdrmin stop early)")
+	pdrMinF  = flag.Float64("pdrmin", 0.9, "reliability bound the -adaptive gate tests scenario PDRs against")
+	engFlags = cli.AddEngine(flag.CommandLine, "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated run at the same fidelity starts warm (ignored with -trace, whose runs exist for their side effects)")
+)
 
 func main() {
-	var (
-		locsFlag = flag.String("locs", "0,1,3,6", "comma-separated body-location indices (0=chest ... 9=back)")
-		macFlag  = flag.String("mac", "csma", "MAC protocol: csma or tdma")
-		rtFlag   = flag.String("routing", "star", "routing: star or mesh")
-		txFlag   = flag.Float64("tx", -10, "transmit power in dBm (-20, -10, or 0 for the CC2650)")
-		duration = flag.Float64("duration", 60, "simulation horizon in seconds")
-		runs     = flag.Int("runs", 1, "runs to average")
-		seed     = flag.Uint64("seed", 1, "master random seed")
-		paper    = flag.Bool("paper", false, "paper fidelity (600 s × 3 runs)")
-		perNode  = flag.Bool("nodes", false, "print per-node metrics")
-		trace    = flag.String("trace", "", "write a CSV event trace of the (first) run to this file")
-		scenario = flag.String("scenario", "", "inject a fault scenario, e.g. \"fail:6@15,out:1@5-12,link:0-3@10-30,drain:3x100\"")
-		faults   = flag.String("faults", "", "robust evaluation against a generated scenario family, e.g. \"knode=1\" or \"coord-outage\"")
-		adaptive = flag.Bool("adaptive", false, "confidence-gated replication stopping in the -faults evaluation (scenarios decisively clear of -pdrmin stop early)")
-		pdrMinF  = flag.Float64("pdrmin", 0.9, "reliability bound the -adaptive gate tests scenario PDRs against")
-		cacheRaw = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated run at the same fidelity starts warm (ignored with -trace, whose runs exist for their side effects)")
-		shards   = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
-	)
 	flag.Parse()
-	fatalIf(engine.CheckShards(*shards))
-	engineShards = *shards
-
-	locs, err := parseLocs(*locsFlag)
+	locs, err := cli.Ints("locs", *locsFlag, nil)
 	fatalIf(err)
 
 	var mk netsim.MACKind
@@ -97,46 +74,65 @@ func main() {
 		fatalIf(fmt.Errorf("radio %s has no %+g dBm mode", cfg.Radio.Name, *txFlag))
 	}
 	cfg.TxMode = mode
-	cfg.Duration = *duration
-	if *paper {
-		cfg.Duration = 600
-		*runs = 3
-	}
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		fatalIf(err)
-		defer f.Close()
-		cfg.Trace = f
-		*runs = 1 // a trace documents a single run
-	}
-
+	fid := fidFlags.Fidelity()
+	cfg.Duration = fid.Duration
 	if *scenario != "" {
 		sc, err := fault.Parse(*scenario)
 		fatalIf(err)
 		cfg.Scenario = sc
 	}
 
-	cacheFile := *cacheRaw
-	if cfg.Trace != nil {
-		cacheFile = "" // trace runs exist for their side effects
-	}
-
-	if *faults != "" {
-		var gate *netsim.Gate
-		if *adaptive {
-			gate = &netsim.Gate{PDRMin: *pdrMinF, Margin: 0.001}
+	// Every run evaluates on one engine, keyed so that -cachefile can
+	// answer a repeated invocation at the same fidelity from disk.
+	run := func(cfg netsim.Config, workers int) error {
+		eng, err := engFlags.Open(os.Stdout, workers, fid.Sig())
+		if err != nil {
+			return err
 		}
-		fatalIf(runRobust(cfg, *faults, *runs, *seed, gate, cacheFile))
+		if *faults != "" {
+			var gate *netsim.Gate
+			if *adaptive {
+				gate = &netsim.Gate{PDRMin: *pdrMinF, Margin: 0.001}
+			}
+			err = runRobust(eng.Engine, cfg, fid, gate)
+		} else {
+			err = runSingle(eng.Engine, cfg, fid)
+		}
+		if err != nil {
+			return err
+		}
+		return eng.Close()
+	}
+	if *trace == "" {
+		fatalIf(run(cfg, 0))
 		return
 	}
+	// A trace documents a single run, written by one worker. Trace runs
+	// exist for their side effects, so they bypass the cache file and
+	// stay unkeyed.
+	fid.Runs = 1
+	engFlags.CacheFile = ""
+	fatalIf(report.WriteFile(*trace, func(w io.Writer) error {
+		cfg.Trace = w
+		return run(cfg, 1)
+	}))
+}
 
+// runSingle evaluates one configuration and prints its metrics.
+func runSingle(eng *engine.Engine, cfg netsim.Config, fid experiments.Fidelity) error {
 	t0 := time.Now()
-	res, err := runSingle(cfg, *runs, *seed, cacheFile)
-	fatalIf(err)
+	req := engine.Request{Cfg: cfg, Runs: fid.Runs, Seed: fid.Seed}
+	if cfg.Trace == nil {
+		req.Key = cacheKey(cfg)
+	}
+	res, err := eng.Evaluate(req)
+	if err != nil {
+		return err
+	}
 
 	names := body.Names(body.Default())
 	fmt.Printf("configuration: %s\n", cfg.Label())
-	fmt.Printf("simulated:     %.0f s × %d runs in %s\n", cfg.Duration, *runs, time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("simulated:     %.0f s × %d runs in %s\n", cfg.Duration, fid.Runs, time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("PDR:           %s\n", report.Pct(res.PDR))
 	fmt.Printf("lifetime:      %s (worst node %s)\n", report.Days(res.NLTDays), report.MW(float64(res.MaxPower)))
 	fmt.Printf("traffic:       %d sent, %d delivered, %d transmissions\n", res.Sent, res.Delivered, res.TxCount)
@@ -153,6 +149,7 @@ func main() {
 		fmt.Println()
 		report.Table(os.Stdout, []string{"loc", "site", "PDR", "power"}, rows)
 	}
+	return nil
 }
 
 // cfgKey derives a stable 32-bit cache identity from hisim's free-form
@@ -192,34 +189,6 @@ func cacheKey(cfg netsim.Config) engine.Key {
 	return engine.PointKey(cfgKey(cfg))
 }
 
-// runSingle evaluates one configuration, through a cache-file-backed
-// engine when -cachefile is set (a repeated invocation at the same
-// fidelity answers from disk) and directly otherwise.
-func runSingle(cfg netsim.Config, runs int, seed uint64, cacheFile string) (*netsim.Result, error) {
-	if cacheFile == "" {
-		return netsim.RunAveraged(cfg, runs, seed)
-	}
-	eng, err := engine.NewSharded(0, engineShards)
-	if err != nil {
-		return nil, err
-	}
-	n, err := eng.AttachCacheFile(cacheFile, engine.ContextSig(cfg.Duration, runs, seed))
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		fmt.Printf("cache:         loaded %d entries from %s\n", n, cacheFile)
-	}
-	res, err := eng.Evaluate(engine.Request{Cfg: cfg, Runs: runs, Seed: seed, Key: cacheKey(cfg)})
-	if err != nil {
-		return nil, err
-	}
-	if st := eng.Stats(); st.DiskHits > 0 {
-		fmt.Printf("engine:        %s\n", st)
-	}
-	return res, eng.CloseSpill()
-}
-
 // parseFamily builds the generated scenario family named by the -faults
 // spec: "knode=K" (every K-subset of the used locations fails at a
 // quarter of the horizon; the star coordinator is exempt) or
@@ -253,32 +222,16 @@ func parseFamily(cfg netsim.Config, spec string, seed uint64) ([]*fault.Scenario
 // prints the nominal result, the per-scenario table, and the worst case.
 // A non-nil gate replication-gates the scenario runs (the nominal run
 // keeps its full budget); the engine stats line then shows the savings.
-// With a cache file attached the requests are keyed, so a repeated
+// The requests are keyed, so with a cache file attached a repeated
 // invocation answers the whole family from disk. Trace runs stay
 // unkeyed: they exist for their side effects.
-func runRobust(cfg netsim.Config, spec string, runs int, seed uint64, gate *netsim.Gate, cacheFile string) error {
-	scenarios, err := parseFamily(cfg, spec, seed)
-	if err != nil {
-		return err
-	}
-	workers := 0
-	if cfg.Trace != nil {
-		workers = 1 // keep event-trace writes serial
-	}
-	eng, err := engine.NewSharded(workers, engineShards)
+func runRobust(eng *engine.Engine, cfg netsim.Config, fid experiments.Fidelity, gate *netsim.Gate) error {
+	runs, seed := fid.Runs, fid.Seed
+	scenarios, err := parseFamily(cfg, *faults, seed)
 	if err != nil {
 		return err
 	}
 	keyed := cfg.Trace == nil
-	if cacheFile != "" {
-		n, err := eng.AttachCacheFile(cacheFile, engine.ContextSig(cfg.Duration, runs, seed))
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			fmt.Printf("cache:         loaded %d entries from %s\n", n, cacheFile)
-		}
-	}
 	base := cfg
 	base.Scenario = nil
 	point := cfgKey(base)
@@ -326,13 +279,11 @@ func runRobust(cfg netsim.Config, spec string, runs int, seed uint64, gate *nets
 	report.Table(os.Stdout, []string{"scenario", "PDR", "lifetime", "worst node"}, rows)
 	fmt.Printf("worst case:    PDR %s, lifetime %s (scenario %s)\n",
 		report.Pct(worstPDR), report.Days(worstNLT), worstScenario)
-	fmt.Printf("engine:        %s\n", eng.Stats())
-	return eng.CloseSpill()
+	return nil
 }
 
 func fatalIf(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hisim:", err)
-		os.Exit(1)
+		cli.Fatal("hisim", err)
 	}
 }

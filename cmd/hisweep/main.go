@@ -20,150 +20,82 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
-	"hiopt/internal/engine"
+	"hiopt/cmd/internal/cli"
 	"hiopt/internal/experiments"
-	"hiopt/internal/profiling"
+)
+
+var (
+	fidFlags   = cli.AddFidelity(flag.CommandLine)
+	csvPath    = flag.String("csv", "", "write the scatter to this CSV file")
+	robust     = flag.Bool("robust", false, "also run the nominal-vs-robust comparison under k-node failures")
+	kfail      = flag.String("kfail", "1,2", "comma-separated failure counts k for -robust")
+	pdrMin     = flag.Float64("pdrmin", 0.9, "reliability bound of the -robust comparison")
+	robustCSV  = flag.String("robustcsv", "", "write the -robust comparison to this CSV file")
+	gamma      = flag.String("gamma", "", "comma-separated Γ protection budgets: run the Γ-robust price-curve study (e.g. 0,1,2,3)")
+	gammaCSV   = flag.String("gammacsv", "", "write the Γ price curve to this CSV file")
+	gammaIter  = flag.Int("gammaiter", 8, "Algorithm 1 iteration cap per Γ point (0 = unlimited)")
+	robustMin  = flag.Float64("robustpdrmin", 0, "robust reliability floor of the -gamma study (0 = the attainable default)")
+	pareto     = flag.Bool("pareto", false, "run the warm ε-constraint NLT/PDR/latency front study instead of the Figure 3 sweep")
+	paretoCSV  = flag.String("paretocsv", "", "write the ε-constraint front to this CSV file")
+	boundsFlag = flag.String("bounds", "", "comma-separated PDRmin bounds of the -pareto sweep (empty = the default 16-point grid)")
+	latMax     = flag.Float64("latmax", 0, "p95 end-to-end latency bound in seconds for -pareto (0 = unbounded)")
+	paretoCold = flag.Bool("paretocold", false, "run the -pareto sweep as independent cold per-bound solves (the A/B baseline)")
+	adaptive   = flag.Bool("adaptive", false, "confidence-gated adaptive evaluation in the -robust comparison and the -pareto sweep (short-circuits decisively infeasible scenario families; gates replications to the swept band)")
+	engFlags   = cli.AddEngine(flag.CommandLine, "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated sweep at the same fidelity starts warm")
+	profFlags  = cli.AddProfile(flag.CommandLine)
 )
 
 func main() {
-	var (
-		duration   = flag.Float64("duration", 60, "simulation horizon in seconds")
-		runs       = flag.Int("runs", 1, "runs to average")
-		seed       = flag.Uint64("seed", 1, "master random seed")
-		paper      = flag.Bool("paper", false, "paper fidelity (600 s × 3 runs)")
-		csvPath    = flag.String("csv", "", "write the scatter to this CSV file")
-		robust     = flag.Bool("robust", false, "also run the nominal-vs-robust comparison under k-node failures")
-		kfail      = flag.String("kfail", "1,2", "comma-separated failure counts k for -robust")
-		pdrMin     = flag.Float64("pdrmin", 0.9, "reliability bound of the -robust comparison")
-		robustCSV  = flag.String("robustcsv", "", "write the -robust comparison to this CSV file")
-		gamma      = flag.String("gamma", "", "comma-separated Γ protection budgets: run the Γ-robust price-curve study (e.g. 0,1,2,3)")
-		gammaCSV   = flag.String("gammacsv", "", "write the Γ price curve to this CSV file")
-		gammaIter  = flag.Int("gammaiter", 8, "Algorithm 1 iteration cap per Γ point (0 = unlimited)")
-		robustMin  = flag.Float64("robustpdrmin", 0, "robust reliability floor of the -gamma study (0 = the attainable default)")
-		pareto     = flag.Bool("pareto", false, "run the warm ε-constraint NLT/PDR/latency front study instead of the Figure 3 sweep")
-		paretoCSV  = flag.String("paretocsv", "", "write the ε-constraint front to this CSV file")
-		boundsFlag = flag.String("bounds", "", "comma-separated PDRmin bounds of the -pareto sweep (empty = the default 16-point grid)")
-		latMax     = flag.Float64("latmax", 0, "p95 end-to-end latency bound in seconds for -pareto (0 = unbounded)")
-		paretoCold = flag.Bool("paretocold", false, "run the -pareto sweep as independent cold per-bound solves (the A/B baseline)")
-		adaptive   = flag.Bool("adaptive", false, "confidence-gated adaptive evaluation in the -robust comparison and the -pareto sweep (short-circuits decisively infeasible scenario families; gates replications to the swept band)")
-		cacheFile  = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated sweep at the same fidelity starts warm")
-		shards     = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
 	flag.Parse()
-	if err := engine.CheckShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "hisweep:", err)
-		os.Exit(1)
-	}
-
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	bounds, err := cli.Floats("bounds", *boundsFlag, func(b float64) bool { return b > 0 && b <= 1 })
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hisweep:", err)
-		os.Exit(1)
+		cli.Fatal("hisweep", err)
+	}
+	ks, err := cli.Ints("kfail", *kfail, func(k int) bool { return k > 0 })
+	if err != nil {
+		cli.Fatal("hisweep", err)
+	}
+	gammas, err := cli.Floats("gamma", *gamma, func(g float64) bool { return g >= 0 })
+	if err != nil {
+		cli.Fatal("hisweep", err)
+	}
+	stopProf, err := profFlags.Start()
+	if err != nil {
+		cli.Fatal("hisweep", err)
 	}
 
-	fid := experiments.Fidelity{Duration: *duration, Runs: *runs, Seed: *seed}
-	if *paper {
-		fid = experiments.Paper
-		fid.Seed = *seed
-	}
+	fid := fidFlags.Fidelity()
 	t0 := time.Now()
 	suite := experiments.NewSuite(fid, os.Stdout)
 	suite.Adaptive = *adaptive
-	var eng *engine.Engine
-	if *cacheFile != "" || *shards != 0 {
-		eng, err = engine.NewSharded(0, *shards)
-		if err == nil && *cacheFile != "" {
-			var n int
-			n, err = eng.AttachCacheFile(*cacheFile, fid.Sig())
-			if n > 0 {
-				fmt.Printf("cache: loaded %d entries from %s\n", n, *cacheFile)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
-		suite.SetEngine(eng)
+	eng, err := engFlags.Open(os.Stdout, 0, fid.Sig())
+	if err != nil {
+		cli.Fatal("hisweep", err)
 	}
+	suite.SetEngine(eng.Engine)
 	if *pareto {
-		var bounds []float64
-		for _, part := range strings.Split(*boundsFlag, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			b, err := strconv.ParseFloat(part, 64)
-			if err != nil || b <= 0 || b > 1 {
-				fmt.Fprintf(os.Stderr, "hisweep: bad -bounds entry %q\n", part)
-				os.Exit(1)
-			}
-			bounds = append(bounds, b)
-		}
-		if _, err := suite.FR(bounds, *latMax, *paretoCold, *paretoCSV); err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
-	} else if _, err := suite.Fig3(*csvPath); err != nil {
-		fmt.Fprintln(os.Stderr, "hisweep:", err)
-		os.Exit(1)
+		_, err = suite.FR(bounds, *latMax, *paretoCold, *paretoCSV)
+	} else {
+		_, err = suite.Fig3(*csvPath)
 	}
-	if *robust {
-		var ks []int
-		for _, part := range strings.Split(*kfail, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			k, err := strconv.Atoi(part)
-			if err != nil || k <= 0 {
-				fmt.Fprintf(os.Stderr, "hisweep: bad -kfail entry %q\n", part)
-				os.Exit(1)
-			}
-			ks = append(ks, k)
-		}
-		if _, err := suite.RB(ks, *pdrMin, *robustCSV); err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
+	if err == nil && *robust {
+		_, err = suite.RB(ks, *pdrMin, *robustCSV)
 	}
-	if *gamma != "" {
-		var gammas []float64
-		for _, part := range strings.Split(*gamma, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			g, err := strconv.ParseFloat(part, 64)
-			if err != nil || g < 0 {
-				fmt.Fprintf(os.Stderr, "hisweep: bad -gamma entry %q\n", part)
-				os.Exit(1)
-			}
-			gammas = append(gammas, g)
-		}
-		if _, err := suite.Gamma(gammas, *robustMin, *gammaIter, *gammaCSV); err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
+	if err == nil && *gamma != "" {
+		_, err = suite.Gamma(gammas, *robustMin, *gammaIter, *gammaCSV)
 	}
-	if eng != nil {
-		if err := eng.CloseSpill(); err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
+	if err != nil {
+		cli.Fatal("hisweep", err)
 	}
 	// Totals across every study above, printed to the terminal even when
-	// -csv/-robustcsv/-gammacsv redirected the tables — the counterpart
-	// of hiopt's engine-stats line.
-	fmt.Printf("engine:       %s\n", suite.EngineStats())
+	// -csv/-robustcsv/-gammacsv redirected the tables.
+	if err := eng.Close(); err != nil {
+		cli.Fatal("hisweep", err)
+	}
 	fmt.Printf("sweep completed in %s\n", time.Since(t0).Round(time.Millisecond))
 	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "hisweep:", err)
-		os.Exit(1)
+		cli.Fatal("hisweep", err)
 	}
 }

@@ -34,8 +34,6 @@ type Options struct {
 	PenaltyMW float64
 	// PenaltyBaseMW is the fixed infeasibility offset (default 5 mW).
 	PenaltyBaseMW float64
-	// FeasTol relaxes the reliability check like core.Options.FeasTol.
-	FeasTol float64
 	// Seed drives the annealer's own randomness (separate from the
 	// simulation seeds inside the problem).
 	Seed uint64
@@ -59,9 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PenaltyBaseMW == 0 {
 		o.PenaltyBaseMW = 5
-	}
-	if o.FeasTol == 0 {
-		o.FeasTol = 0.001
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -147,7 +142,7 @@ func (a *Annealer) evaluate(p design.Point) (*Entry, error) {
 		PDR:      res.PDR,
 		PowerMW:  float64(res.MaxPower),
 		NLTDays:  res.NLTDays,
-		Feasible: res.PDR >= a.pr.PDRMin-a.opts.FeasTol,
+		Feasible: res.PDR >= a.pr.PDRMin-design.FeasTol,
 	}
 	e.Energy = e.PowerMW
 	if !e.Feasible {

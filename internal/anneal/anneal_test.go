@@ -142,7 +142,7 @@ func TestTraceLengthMatchesSteps(t *testing.T) {
 func TestInfeasibleBoundGivesNoBest(t *testing.T) {
 	pr := smallProblem(1.5)
 	pr.Duration = 10
-	out, err := New(pr, Options{Steps: 30, Seed: 19, FeasTol: 1e-9}).Run()
+	out, err := New(pr, Options{Steps: 30, Seed: 19}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,7 @@ func TestOptimizerFindsFeasibleOptimum(t *testing.T) {
 	if out.Status != Optimal || out.Best == nil {
 		t.Fatalf("status = %v", out.Status)
 	}
-	if !out.Best.Feasible || out.Best.PDR < pr.PDRMin-opt.Options.FeasTol {
+	if !out.Best.Feasible || out.Best.PDR < pr.PDRMin-design.FeasTol {
 		t.Errorf("best is not feasible: %+v", out.Best)
 	}
 	// The incumbent must be the minimum simulated power over all feasible

@@ -10,9 +10,19 @@ import (
 	"hiopt/internal/engine"
 )
 
+// newEngine builds a private evaluation engine with the given worker count.
+func newEngine(t *testing.T, workers int) *engine.Engine {
+	t.Helper()
+	eng, err := engine.New(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func TestRunCtxCancelled(t *testing.T) {
 	pr := fastProblem(0.9)
-	o := NewOptimizer(pr, Options{PoolLimit: 4, Workers: 2})
+	o := NewOptimizer(pr, Options{PoolLimit: 4, Engine: newEngine(t, 2)})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := o.RunCtx(ctx); !errors.Is(err, context.Canceled) {
@@ -30,7 +40,7 @@ func TestRunCtxCancelled(t *testing.T) {
 
 func TestRunCtxCancelMidSimulation(t *testing.T) {
 	pr := fastProblem(0.9)
-	o := NewOptimizer(pr, Options{PoolLimit: 8, Workers: 2})
+	o := NewOptimizer(pr, Options{PoolLimit: 8, Engine: newEngine(t, 2)})
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel from inside the first candidate's evaluation: the batch must
 	// stop at sub-task granularity and RunCtx must surface the ctx error.
@@ -46,7 +56,7 @@ func TestOnIterationEvents(t *testing.T) {
 	pr := fastProblem(0.9)
 	var events []IterationEvent
 	o := NewOptimizer(pr, Options{
-		Workers:     2,
+		Engine:      newEngine(t, 2),
 		OnIteration: func(ev IterationEvent) { events = append(events, ev) },
 	})
 	out, err := o.Run()
@@ -77,10 +87,7 @@ func TestOnIterationEvents(t *testing.T) {
 // different salts must not answer each other's keys, while equal salts
 // share the cache fully — and the salt must never change the result.
 func TestCacheSaltSeparatesTenants(t *testing.T) {
-	eng, err := engine.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, 2)
 	run := func(salt uint64) *Outcome {
 		pr := fastProblem(0.9)
 		out, err := NewOptimizer(pr, Options{Engine: eng, CacheSalt: salt}).Run()

@@ -55,7 +55,7 @@ type Candidate struct {
 	PowerMW float64
 	// NLTDays is the simulated network lifetime.
 	NLTDays float64
-	// Feasible reports PDR >= PDRMin − FeasTol; under robust screening it
+	// Feasible reports PDR >= PDRMin − design.FeasTol; under robust screening it
 	// additionally requires the scenario-family PDR statistic (worst case
 	// or configured quantile) to clear the same bound.
 	Feasible bool
@@ -159,46 +159,27 @@ type Options struct {
 	// DisableAlphaBound turns off the line-5 early termination (used by
 	// the ablation study; the algorithm then runs until MILP exhaustion).
 	DisableAlphaBound bool
-	// FeasTol relaxes the reliability check to PDR >= PDRMin − FeasTol,
-	// reflecting the ±ε estimation error of finite simulations (the
-	// paper sizes T_sim to keep the estimate within a tolerance ε of the
-	// true probability; the default here is 0.1%, which at the paper's
-	// T_sim = 600 s × 3 runs is several standard errors of the PDR
-	// estimator).
-	FeasTol float64
-	// CutEpsilonMW is the strictness margin of the Update step's
-	// P̄ > P̄* cut. It must sit well above the MILP integrality
-	// tolerance (else near-integral LP points can cheat the cut) and
-	// well below the smallest separation between distinct power classes
-	// (~15 µW for the CC2650 Tx modes); the default is 0.1 µW.
-	CutEpsilonMW float64
-	// Workers sizes the evaluation engine's worker pool (0 = GOMAXPROCS;
-	// negative values are rejected by Run). Ignored when Engine is set.
-	Workers int
 	// Engine, when non-nil, is a shared evaluation service to run all
 	// simulations on; its unified (point, fidelity, scenario) cache then
 	// spans every layer using it — e.g. an exhaustive sweep can warm-fill
 	// the optimizer's full-fidelity entries. When nil the optimizer owns
-	// a private engine with Workers workers.
+	// a private engine with GOMAXPROCS workers.
 	Engine *engine.Engine
 	// TwoStage enables a cheap screening pass before the full-fidelity
 	// evaluation of each candidate: a single run at Duration/5 first,
-	// and only candidates within ScreenMargin of the reliability bound
+	// and only candidates within screenMargin of the reliability bound
 	// (or above it) receive the full T_sim × Runs treatment. This
 	// implements the paper's observation that T_sim only needs to bound
 	// the PDR estimation error relative to the decision being made:
 	// clearly infeasible candidates don't need tight estimates.
 	TwoStage bool
-	// ScreenMargin is the rejection band of the screening pass (default
-	// 0.05 — roughly 3σ of the short run's PDR estimator).
-	ScreenMargin float64
 	// AdaptiveReps enables confidence-gated early stopping in the stages
 	// whose evaluations only feed a binary decision. The screening pass
 	// (requires TwoStage) splits its Duration/5 budget into
 	// adaptiveScreenBlocks equal blocks and stops as soon as the
-	// block-PDR confidence interval settles against PDRMin ± ScreenMargin;
+	// block-PDR confidence interval settles against PDRMin ± screenMargin;
 	// the robust stage (requires Robust.Enabled) gates each scenario's
-	// replications against PDRMin ± FeasTol and short-circuits a family
+	// replications against PDRMin ± design.FeasTol and short-circuits a family
 	// once enough scenarios breach the bound to pin its Quantile order
 	// statistic below it. Full-fidelity nominal evaluations always keep
 	// their whole budget — their metrics are the reported ones — so the
@@ -229,8 +210,6 @@ type Options struct {
 	// the shared engine, while identical tenants (same salt) still share
 	// warm results. Zero leaves every key unchanged.
 	CacheSalt uint64
-	// Progress, when non-nil, receives a line per iteration.
-	Progress func(format string, args ...interface{})
 	// OnIteration, when non-nil, receives a structured event after each
 	// completed RunMILP → RunSim round — the streaming-progress hook
 	// (internal/serve emits these as NDJSON lines mid-solve). It is called
@@ -304,16 +283,18 @@ type RobustOptions struct {
 	Compile RobustCompile
 }
 
+// cutEpsilonMW is the strictness margin of the Update step's P̄ > P̄*
+// cut. It must sit well above the MILP integrality tolerance (else
+// near-integral LP points can cheat the cut) and well below the smallest
+// separation between distinct power classes (~15 µW for the CC2650 Tx
+// modes).
+const cutEpsilonMW = 1e-4
+
+// screenMargin is the rejection band of the TwoStage screening pass,
+// roughly 3σ of the short run's PDR estimator.
+const screenMargin = 0.05
+
 func (o Options) withDefaults() Options {
-	if o.FeasTol == 0 {
-		o.FeasTol = 0.001
-	}
-	if o.CutEpsilonMW == 0 {
-		o.CutEpsilonMW = 1e-4
-	}
-	if o.ScreenMargin == 0 {
-		o.ScreenMargin = 0.05
-	}
 	if o.Robust.ProposeGamma > 0 {
 		o.Robust.Enabled = true
 	}
@@ -340,10 +321,8 @@ type Optimizer struct {
 	// sweep), screening results live in their own fidelity namespace —
 	// a point screened out at one bound may need a full evaluation at a
 	// looser bound — and the robust family is simulated once per
-	// (candidate, scenario) even across bound sweeps. engErr defers an
-	// invalid Workers option to Run.
-	eng    *engine.Engine
-	engErr error
+	// (candidate, scenario) even across bound sweeps.
+	eng *engine.Engine
 
 	// evalHook, when non-nil, runs before each candidate's fresh
 	// simulation (via engine.Request.Pre); tests use it to inject
@@ -362,11 +341,9 @@ type Optimizer struct {
 
 // NewOptimizer builds an optimizer with the given options.
 func NewOptimizer(pr *design.Problem, opts Options) *Optimizer {
-	o := &Optimizer{Problem: pr, Options: opts.withDefaults()}
-	if o.Options.Engine != nil {
-		o.eng = o.Options.Engine
-	} else {
-		o.eng, o.engErr = engine.New(o.Options.Workers)
+	o := &Optimizer{Problem: pr, Options: opts.withDefaults(), eng: opts.Engine}
+	if o.eng == nil {
+		o.eng, _ = engine.New(0) // New only fails on negative worker counts
 	}
 	return o
 }
@@ -479,9 +456,6 @@ func (o *Optimizer) Run() (*Outcome, error) {
 // relative to simulation), so cancellation latency is one MILP solve
 // plus one engine sub-task.
 func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
-	if o.engErr != nil {
-		return nil, o.engErr
-	}
 	engStart := o.eng.Stats()
 	// With Robust.ProposeGamma set the oracle iterates on the Γ-protected
 	// relaxation: the protection families below are part of the warm
@@ -498,10 +472,6 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 	// its live tableau instead of forcing a from-scratch tree.
 	milpState := milp.NewState(work, milp.Options{Workers: o.Options.MILPWorkers})
 	pMin := math.Inf(1) // P̄_min: best simulated power of a feasible config
-	progress := o.Options.Progress
-	if progress == nil {
-		progress = func(string, ...interface{}) {}
-	}
 	start := time.Now()
 
 	for iter := 0; ; iter++ {
@@ -509,12 +479,10 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 			return nil, err
 		}
 		if o.Options.MaxIterations > 0 && iter >= o.Options.MaxIterations {
-			progress("iter %d: iteration budget exhausted", iter)
 			out.Status = StatusBudgetExceeded
 			break
 		}
 		if o.Options.MaxWallClock > 0 && time.Since(start) >= o.Options.MaxWallClock {
-			progress("iter %d: wall-clock budget exhausted (%s)", iter, o.Options.MaxWallClock)
 			out.Status = StatusBudgetExceeded
 			break
 		}
@@ -536,14 +504,12 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 		if agg.Status != milp.Optimal || len(pool) == 0 {
 			// Line 4/5: no further candidates. Either infeasible overall
 			// or the incumbent is the proven optimum.
-			progress("iter %d: MILP exhausted (%s)", iter, agg.Status)
 			break
 		}
 		pStar := agg.Objective
 		if !o.Options.DisableAlphaBound && out.Best != nil && pStar/o.alpha(out.Best.Point) > pMin {
 			// Line 5: even after the α correction, every remaining
 			// candidate must simulate above the incumbent.
-			progress("iter %d: α-bound termination (P̄*=%.4g, P̄min=%.4g)", iter, pStar, pMin)
 			out.TerminatedByAlpha = true
 			break
 		}
@@ -586,10 +552,10 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 				MeanLatency:   e.res.MeanLatency,
 				P95Latency:    e.res.P95Latency,
 			}
-			cand.Feasible = cand.PDR >= o.Problem.PDRMin-o.Options.FeasTol
+			cand.Feasible = cand.PDR >= o.Problem.PDRMin-design.FeasTol
 			if e.robust {
 				cand.WorstPDR = e.worstPDR
-				robustOK := e.screenPDR >= o.robustBound()-o.Options.FeasTol
+				robustOK := e.screenPDR >= o.robustBound()-design.FeasTol
 				if cand.Feasible && !robustOK {
 					out.RobustRejected++
 				}
@@ -615,8 +581,6 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 			}
 		}
 		out.Iterations = append(out.Iterations, it)
-		progress("iter %d: P̄*=%.4g mW, pool=%d, feasible=%d, P̄min=%.4g",
-			iter, pStar, len(pool), it.FeasibleCount, pMin)
 		if o.Options.OnIteration != nil {
 			ev := IterationEvent{
 				Iter: iter, PBarStar: pStar,
@@ -630,7 +594,7 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 		}
 
 		// Line 11: Update(P̃, P̄ > P̄*) — prune the explored power class.
-		work.AddExprRow(fmt.Sprintf("prune_%d", iter), mm.objective, linexpr.GE, pStar+o.Options.CutEpsilonMW)
+		work.AddExprRow(fmt.Sprintf("prune_%d", iter), mm.objective, linexpr.GE, pStar+cutEpsilonMW)
 	}
 	out.Engine = o.eng.Stats().Sub(engStart)
 	return out, nil
@@ -678,9 +642,6 @@ type pointEval struct {
 // error.
 func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]pointEval, simStats, error) {
 	var stats simStats
-	if o.engErr != nil {
-		return nil, stats, o.engErr
-	}
 	engStart := o.eng.Stats()
 	// skippedRuns/skippedSeconds accumulate the robust stage's
 	// family-short-circuit savings; the engine delta contributes the
@@ -746,7 +707,7 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 				reqs[i].Cfg.Duration /= adaptiveScreenBlocks
 				reqs[i].Runs = adaptiveScreenBlocks
 				reqs[i].Adaptive = &netsim.Gate{
-					PDRMin: o.Problem.PDRMin, Margin: o.Options.ScreenMargin,
+					PDRMin: o.Problem.PDRMin, Margin: screenMargin,
 					Confidence: 0.9,
 				}
 			}
@@ -757,7 +718,7 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 			return nil, stats, err
 		}
 		for i, p := range toScreen {
-			if srs[i].PDR < o.Problem.PDRMin-o.Options.ScreenMargin {
+			if srs[i].PDR < o.Problem.PDRMin-screenMargin {
 				screened[p.Key()] = srs[i]
 				stats.screenedOut++
 			}
@@ -801,7 +762,7 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 	if o.Options.Robust.Enabled {
 		var jobs []famJob
 		for _, p := range need {
-			if full[p.Key()].PDR < o.Problem.PDRMin-o.Options.FeasTol {
+			if full[p.Key()].PDR < o.Problem.PDRMin-design.FeasTol {
 				continue
 			}
 			jobs = append(jobs, famJob{p: p, scenarios: o.scenariosFor(p)})
@@ -926,8 +887,8 @@ func (o *Optimizer) robustExhaustive(ctx context.Context, jobs []famJob, full ma
 // robustExhaustive; a sealed family reports the order statistic over its
 // evaluated prefix, which the breach count already pins below the bound.
 func (o *Optimizer) robustAdaptive(ctx context.Context, jobs []famJob, full map[uint32]*netsim.Result, pre func(design.Point) func(), robust map[uint32]robustStats, skippedRuns *int, skippedSeconds *float64) error {
-	bound := o.robustBound() - o.Options.FeasTol
-	gate := &netsim.Gate{PDRMin: o.robustBound(), Margin: o.Options.FeasTol}
+	bound := o.robustBound() - design.FeasTol
+	gate := &netsim.Gate{PDRMin: o.robustBound(), Margin: design.FeasTol}
 	type famState struct {
 		job       famJob
 		pdrs      []float64

@@ -267,14 +267,11 @@ func ParetoSweepCtx(ctx context.Context, pr *design.Problem, so SweepOptions) (*
 	// and cold paths make identical calls in identical order.
 	pr.PDRMin = bounds[0]
 	o := NewOptimizer(pr, so.Options)
-	if o.engErr != nil {
-		return nil, o.engErr
-	}
 	if so.Adaptive {
 		lo, hi := bounds[0], bounds[len(bounds)-1]
 		o.fullGate = &netsim.Gate{
 			PDRMin: (lo + hi) / 2,
-			Margin: (hi-lo)/2 + o.Options.FeasTol + sweepGateSlack,
+			Margin: (hi-lo)/2 + design.FeasTol + sweepGateSlack,
 		}
 	}
 	rc := o.robustCompile()
@@ -420,7 +417,7 @@ func (sw *sweeper) warmBound(ctx context.Context, b float64) (*Candidate, error)
 		sw.classes = append(sw.classes, sweepClass{pStar: pStar, points: points})
 		// Prune the class from the persistent state whether or not this
 		// bound consumes it, so extension never re-enumerates it.
-		sw.work.AddExprRow(fmt.Sprintf("sweep_prune_%d", sw.cuts), sw.mm.objective, linexpr.GE, pStar+o.Options.CutEpsilonMW)
+		sw.work.AddExprRow(fmt.Sprintf("sweep_prune_%d", sw.cuts), sw.mm.objective, linexpr.GE, pStar+cutEpsilonMW)
 		sw.cuts++
 		if sw.alphaStop(best, pMin, pStar, b) {
 			return best, nil
@@ -480,7 +477,7 @@ func (sw *sweeper) coldBound(ctx context.Context, b float64) (*Candidate, error)
 			sel[i] = i
 		}
 		updateIncumbent(sw.buildCandidates(&cls, sel, b), &pMin, &best)
-		work.AddExprRow(fmt.Sprintf("prune_%d", iter), mm.objective, linexpr.GE, pStar+o.Options.CutEpsilonMW)
+		work.AddExprRow(fmt.Sprintf("prune_%d", iter), mm.objective, linexpr.GE, pStar+cutEpsilonMW)
 	}
 	return best, nil
 }
@@ -555,10 +552,10 @@ func (sw *sweeper) buildCandidates(cls *sweepClass, sel []int, b float64) []Cand
 			MeanLatency:   e.res.MeanLatency,
 			P95Latency:    e.res.P95Latency,
 		}
-		cand.Feasible = cand.PDR >= b-o.Options.FeasTol
+		cand.Feasible = cand.PDR >= b-design.FeasTol
 		if e.robust {
 			cand.WorstPDR = e.worstPDR
-			cand.Feasible = cand.Feasible && e.screenPDR >= b-o.Options.FeasTol
+			cand.Feasible = cand.Feasible && e.screenPDR >= b-design.FeasTol
 		}
 		if sw.so.LatencyMax > 0 && cand.P95Latency > sw.so.LatencyMax {
 			cand.Feasible = false

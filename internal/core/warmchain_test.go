@@ -208,7 +208,7 @@ func TestRunWarmMatchesColdMILP(t *testing.T) {
 				t.Fatalf("iter %d: point %+v appears %d more times in the oracle pool than in the warm candidates", i, p, n)
 			}
 		}
-		work.AddExprRow(fmt.Sprintf("prune_%d", i), mm.objective, linexpr.GE, it.PBarStar+o.Options.CutEpsilonMW)
+		work.AddExprRow(fmt.Sprintf("prune_%d", i), mm.objective, linexpr.GE, it.PBarStar+cutEpsilonMW)
 	}
 }
 

@@ -140,6 +140,15 @@ func (c Constraints) Topologies() []uint16 {
 	return out
 }
 
+// FeasTol is the feasibility tolerance ε of the reliability check: a
+// simulated PDR meets the bound when PDR >= PDRMin − FeasTol. It reflects
+// the estimation error of finite simulations (the paper sizes T_sim to
+// keep the estimate within ε of the true probability); 0.1% is several
+// standard errors of the PDR estimator at the paper's T_sim = 600 s × 3
+// runs. Algorithm 1, the exhaustive sweep and the annealer all judge
+// feasibility against it.
+const FeasTol = 0.001
+
 // Problem bundles the design space with the evaluation environment: it is
 // the P of Eq. (8), plus everything needed to compute its two oracles —
 // the analytic power of Eq. (9) and the simulated (PDR, power) pair.

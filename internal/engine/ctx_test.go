@@ -217,16 +217,3 @@ func TestEvaluateCtxAnswersCacheAfterCancel(t *testing.T) {
 		t.Fatalf("fresh request under done ctx returned %v, want context.Canceled", err)
 	}
 }
-
-func TestCheckShards(t *testing.T) {
-	for _, ok := range []int{0, 1, 2, 4, 16, 1024} {
-		if err := CheckShards(ok); err != nil {
-			t.Fatalf("CheckShards(%d) = %v, want nil", ok, err)
-		}
-	}
-	for _, bad := range []int{-1, 3, 5, 10, 17} {
-		if err := CheckShards(bad); err == nil {
-			t.Fatalf("CheckShards(%d) succeeded; want an error", bad)
-		}
-	}
-}

@@ -18,9 +18,11 @@ func TestNewShardedRejectsNegativeShards(t *testing.T) {
 	}
 }
 
+// TestShardCountRounding: 0 selects DefaultShards and a power of two is
+// taken as is; the counts that used to be rounded up are now rejected.
 func TestShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
-		{0, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
+		{0, DefaultShards}, {1, 1}, {2, 2}, {4, 4}, {16, 16},
 	} {
 		e, err := NewSharded(1, tc.ask)
 		if err != nil {
@@ -28,6 +30,31 @@ func TestShardCountRounding(t *testing.T) {
 		}
 		if got := e.Shards(); got != tc.want {
 			t.Fatalf("NewSharded(1, %d).Shards() = %d, want %d", tc.ask, got, tc.want)
+		}
+	}
+	for _, ask := range []int{3, 5, 17} {
+		e, err := NewSharded(1, ask)
+		if err == nil {
+			t.Fatalf("NewSharded(1, %d) built %d shards; a count that is not a power of two must be rejected, not rounded up", ask, e.Shards())
+		}
+		if !strings.Contains(err.Error(), "power of two") {
+			t.Fatalf("NewSharded(1, %d): unhelpful error: %v", ask, err)
+		}
+	}
+}
+
+// TestCheckShards: the strict shard-count rule a -shards flag relies on
+// now lives in NewSharded — 0 and exact powers of two are accepted,
+// anything else is an error.
+func TestCheckShards(t *testing.T) {
+	for _, ok := range []int{0, 1, 2, 4, 16, 1024} {
+		if _, err := NewSharded(1, ok); err != nil {
+			t.Fatalf("NewSharded(1, %d) = %v, want nil", ok, err)
+		}
+	}
+	for _, bad := range []int{-1, 3, 5, 10, 17} {
+		if _, err := NewSharded(1, bad); err == nil {
+			t.Fatalf("NewSharded(1, %d) succeeded; want an error", bad)
 		}
 	}
 }
@@ -50,7 +77,7 @@ func shardRun(t *testing.T, shards int) []*netsim.Result {
 // striping, exactly as they are for any worker count.
 func TestBatchBitIdenticalAcrossShardCounts(t *testing.T) {
 	ref := shardRun(t, 1)
-	for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0), 16} {
+	for _, shards := range []int{1, 2, 4, 8, 16} {
 		got := shardRun(t, shards)
 		if len(got) != len(ref) {
 			t.Fatalf("shards=%d: %d results, want %d", shards, len(got), len(ref))

@@ -23,7 +23,7 @@ type Entry struct {
 	PDR     float64
 	PowerMW float64
 	NLTDays float64
-	// Feasible reports PDR >= PDRMin − feasTol.
+	// Feasible reports PDR >= PDRMin − design.FeasTol.
 	Feasible bool
 }
 
@@ -45,8 +45,6 @@ type Result struct {
 
 // Options tune the search.
 type Options struct {
-	// FeasTol relaxes the reliability check (see core.Options.FeasTol).
-	FeasTol float64
 	// Workers sizes the evaluation engine's worker pool (0 = GOMAXPROCS;
 	// negative values are rejected). Ignored when Engine is set.
 	Workers int
@@ -64,9 +62,6 @@ type Options struct {
 // whole design space) — so results are deterministic regardless of
 // worker count and repeated sweeps resolve from the cache.
 func Search(pr *design.Problem, opts Options) (*Result, error) {
-	if opts.FeasTol == 0 {
-		opts.FeasTol = 0.001
-	}
 	eng := opts.Engine
 	if eng == nil {
 		var err error
@@ -96,7 +91,7 @@ func Search(pr *design.Problem, opts Options) (*Result, error) {
 			PDR:        res.PDR,
 			PowerMW:    float64(res.MaxPower),
 			NLTDays:    res.NLTDays,
-			Feasible:   res.PDR >= pr.PDRMin-opts.FeasTol,
+			Feasible:   res.PDR >= pr.PDRMin-design.FeasTol,
 		}
 	}
 

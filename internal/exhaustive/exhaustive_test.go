@@ -76,7 +76,7 @@ func TestBestIsMinimumPowerFeasible(t *testing.T) {
 func TestInfeasibleBoundYieldsNoBest(t *testing.T) {
 	pr := smallProblem(1.5) // PDR can never exceed 1
 	pr.Duration = 10
-	res, err := Search(pr, Options{FeasTol: 1e-9})
+	res, err := Search(pr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

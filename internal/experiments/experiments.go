@@ -99,15 +99,6 @@ func (s *Suite) SetEngine(e *engine.Engine) {
 	s.eng = e
 }
 
-// EngineStats snapshots the shared engine's cumulative counters (zero
-// when no experiment has needed the engine yet).
-func (s *Suite) EngineStats() engine.Stats {
-	if s.eng == nil {
-		return engine.Stats{}
-	}
-	return s.eng.Stats()
-}
-
 // Sig is the fidelity's persistent-cache context signature: a cache file
 // written at one (duration, runs, seed) must never answer for another
 // (see engine.ContextSig).
@@ -279,11 +270,6 @@ func (s *Suite) Fig3(csvPath string) ([]Fig3Row, error) {
 	report.Table(s.W, []string{"PDRmin", "optimal configuration", "PDR", "NLT", "power"}, tbl)
 
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
 		var csvRows [][]string
 		for _, r := range rows {
 			csvRows = append(csvRows, []string{
@@ -294,7 +280,7 @@ func (s *Suite) Fig3(csvPath string) ([]Fig3Row, error) {
 				fmt.Sprintf("%v", r.Feasible),
 			})
 		}
-		if err := report.CSV(f, []string{"locations", "routing", "mac", "txmode", "pdr", "nlt_days", "power_mw", "feasible"}, csvRows); err != nil {
+		if err := report.CSVFile(csvPath, []string{"locations", "routing", "mac", "txmode", "pdr", "nlt_days", "power_mw", "feasible"}, csvRows); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(s.W, "  scatter written to %s\n", csvPath)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
 	"hiopt/internal/body"
 	"hiopt/internal/core"
@@ -490,14 +489,9 @@ func (s *Suite) RB(ks []int, pdrMin float64, csvPath string) ([]*RBResult, error
 	}
 	fmt.Fprintf(s.W, "  engine: %s\n", eng.Stats().Sub(engStart))
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
 		header := []string{"k", "locations", "routing", "mac", "txmode",
 			"nominal_pdr", "worst_pdr", "worst_scenario", "nominal_nlt_days", "worst_nlt_days", "power_mw", "robust_feasible"}
-		if err := report.CSV(f, header, csvRows); err != nil {
+		if err := report.CSVFile(csvPath, header, csvRows); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(s.W, "  nominal-vs-robust comparison written to %s\n", csvPath)

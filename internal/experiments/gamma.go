@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
 	"hiopt/internal/core"
 	"hiopt/internal/report"
@@ -125,11 +124,6 @@ func (s *Suite) Gamma(gammas []float64, robustPDRMin float64, maxIter int, csvPa
 	report.Table(s.W, []string{"Γ", "status", "robust design", "power mW", "NLT",
 		"worst PDR", "1st robust iter", "robust rejected", "feasible rate", "iters"}, tbl)
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
 		for _, r := range rows {
 			csvRows = append(csvRows, []string{
 				report.F(r.Gamma, 6), r.Status.String(), r.Best,
@@ -143,7 +137,7 @@ func (s *Suite) Gamma(gammas []float64, robustPDRMin float64, maxIter int, csvPa
 		header := []string{"gamma", "status", "best", "power_mw", "nlt_days", "worst_pdr",
 			"iters_to_first_robust", "robust_rejected", "robust_feasible_rate",
 			"iterations", "evaluations", "simulations"}
-		if err := report.CSV(f, header, csvRows); err != nil {
+		if err := report.CSVFile(csvPath, header, csvRows); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(s.W, "  Γ price curve written to %s\n", csvPath)

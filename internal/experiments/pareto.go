@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
 	"hiopt/internal/core"
 	"hiopt/internal/report"
@@ -67,11 +66,6 @@ func (s *Suite) FR(bounds []float64, latMax float64, cold bool, csvPath string) 
 	fmt.Fprintf(s.W, "  engine: %s\n", res.Engine)
 
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
 		var csvRows [][]string
 		for _, pt := range res.Points {
 			row := []string{report.F(pt.PDRMin, 6), fmt.Sprintf("%v", pt.Best != nil)}
@@ -93,7 +87,7 @@ func (s *Suite) FR(bounds []float64, latMax float64, cold bool, csvPath string) 
 		header := []string{"pdr_min", "feasible", "locations", "routing", "mac", "txmode",
 			"pdr", "nlt_days", "power_mw", "mean_latency_s", "p95_latency_s",
 			"lp_pivots", "dominated"}
-		if err := report.CSV(f, header, csvRows); err != nil {
+		if err := report.CSVFile(csvPath, header, csvRows); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(s.W, "  ε-constraint front written to %s\n", csvPath)

@@ -8,6 +8,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -59,6 +60,27 @@ func CSV(w io.Writer, headers []string, rows [][]string) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteFile creates the file at path, hands it to write and closes it,
+// returning the first error of the three — a failed Close can lose
+// buffered data, so it is an error like any other.
+func WriteFile(path string, write func(io.Writer) error) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return write(f)
+}
+
+// CSVFile writes headers and rows as a CSV file at path.
+func CSVFile(path string, headers []string, rows [][]string) error {
+	return WriteFile(path, func(w io.Writer) error { return CSV(w, headers, rows) })
 }
 
 // Pct formats a [0,1] ratio as a percentage.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 
 	"hiopt/internal/core"
 	"hiopt/internal/engine"
@@ -270,6 +269,3 @@ func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.Iteratio
 	}
 	return resp, nil
 }
-
-// DefaultWorkers is the worker count hiserve uses when none is given.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
